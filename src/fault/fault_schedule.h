@@ -40,8 +40,8 @@ struct FaultAction {
   NodeId node = kNoNode;
   std::size_t port = 0;
   std::size_t queue_pdus = 0;
-  std::string domain;  // kTerminateDomain: domain name on host |node|
-  std::string label;   // phase label in the campaign report
+  std::string domain = {};  // kTerminateDomain: domain name on host |node|
+  std::string label;        // phase label in the campaign report
 };
 
 struct FaultSchedule {

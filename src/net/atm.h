@@ -1,22 +1,27 @@
 // ATM cells and AAL5-style segmentation/reassembly.
 //
 // The Osiris board moves PDUs as streams of 53-byte ATM cells (48-byte
-// payload). This module implements the real wire format the simulated link
-// carries: segmentation of a PDU into cells tagged with VCI and an
-// end-of-PDU marker, and reassembly with length and CRC-32 verification, so
-// cell loss and corruption are detectable exactly as AAL5 detects them.
+// payload). This module is the reference for that wire format: segmentation
+// of a PDU into cells tagged with VCI and an end-of-PDU marker, and
+// reassembly with length and CRC-32 verification, so cell loss and
+// corruption are detectable exactly as AAL5 detects them.
+//
+// The simulated wire carries PDUs whole: no link corrupts, and a loss always
+// drops a whole PDU, so the cells' only observable effect is the PDU's size
+// on the wire, AalWireBytes.
 #ifndef SRC_NET_ATM_H_
 #define SRC_NET_ATM_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "src/sim/cost_model.h"
 #include "src/vm/types.h"
 
 namespace fbufs {
 
 struct AtmCell {
-  static constexpr std::size_t kPayloadBytes = 48;
+  static constexpr std::size_t kPayloadBytes = kCellPayloadBytes;
 
   std::uint32_t vci = 0;
   bool end_of_pdu = false;  // AAL5 uses the PTI bit of the last cell
@@ -29,6 +34,13 @@ struct AalTrailer {
   std::uint32_t crc = 0;
 };
 static_assert(sizeof(AalTrailer) == 8);
+
+// Bytes a |len|-byte PDU occupies on the wire: payload plus trailer, padded
+// to whole cells — exactly the cells AtmSegmenter::Segment emits.
+constexpr std::uint64_t AalWireBytes(std::uint64_t len) {
+  return (len + sizeof(AalTrailer) + AtmCell::kPayloadBytes - 1) /
+         AtmCell::kPayloadBytes * AtmCell::kPayloadBytes;
+}
 
 // CRC-32 (IEEE 802.3 polynomial, bitwise implementation — clarity over
 // speed; the simulator is not bandwidth-bound on host cycles here).

@@ -1,6 +1,7 @@
 #include "src/ring/transfer_ring.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <utility>
 
@@ -12,10 +13,6 @@
 #include "src/sim/trace.h"
 
 namespace fbufs {
-
-namespace {
-bool IsPowerOfTwo(std::uint32_t v) { return v != 0 && (v & (v - 1)) == 0; }
-}  // namespace
 
 TransferRing::TransferRing(Machine* machine, FbufSystem* fsys, Rpc* rpc,
                            EventLoop* loop, Domain& producer, Domain& consumer,
@@ -29,8 +26,10 @@ TransferRing::TransferRing(Machine* machine, FbufSystem* fsys, Rpc* rpc,
       cfg_(config),
       name_(std::move(name)) {
   assert(loop_ != nullptr && "rings drain through the event loop");
-  assert(IsPowerOfTwo(cfg_.sq_slots) && "SQ slot count must be a power of two");
-  assert(IsPowerOfTwo(cfg_.cq_slots) && "CQ slot count must be a power of two");
+  assert(std::has_single_bit(cfg_.sq_slots) &&
+         "SQ slot count must be a power of two");
+  assert(std::has_single_bit(cfg_.cq_slots) &&
+         "CQ slot count must be a power of two");
   assert(cfg_.doorbell_batch >= 1);
   assert(cfg_.drain_budget >= 1);
   assert(producer_ != consumer_ && "a ring pairs two distinct domains");

@@ -13,18 +13,15 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
   SimHost* server = srv.get();
   server_node_ = topo_.AddHost(std::move(srv));
   for (std::size_t i = 0; i < cfg_.clients; ++i) {
-    auto cl = std::make_unique<SimHost>(
-        cfg_.host, HostRole::kReceiver,
-        cfg_.base_vci + static_cast<std::uint32_t>(i), cfg_.port,
-        "client" + std::to_string(i));
+    const std::uint32_t vci = cfg_.base_vci + static_cast<std::uint32_t>(i);
+    auto cl = std::make_unique<SimHost>(cfg_.host, HostRole::kReceiver, vci,
+                                        cfg_.port, "client" + std::to_string(i));
     SimHost* raw = cl.get();
     const NodeId n = topo_.AddHost(std::move(cl));
-    client_nodes_.push_back(n);
-    client_links_.push_back(topo_.AddLink(server_node_, n,
-                                          &raw->machine.costs(),
-                                          "wire/" + std::to_string(i),
-                                          cfg_.client_link_mbps));
-    reassemblers_.push_back(std::make_unique<AtmReassembler>());
+    const LinkId link =
+        topo_.AddLink(server_node_, n, &raw->machine.costs(),
+                      "wire/" + std::to_string(i), cfg_.client_link_mbps);
+    client_legs_.push_back(Leg{server_node_, n, vci, {Hop{link, kNoNode}}});
   }
 
   // The cache and the server protocol live on the server host; responses
@@ -309,40 +306,20 @@ void ServeWorld::WirePdu(std::uint64_t id, SimHost::StagedPdu pdu) {
     stats_.discarded_pdus++;
     return;
   }
-  const std::uint32_t client_i = it->second.spec.client;
-  SimHost& srv = server();
-  SimHost& rx = client(client_i);
-  const std::uint32_t vci = cfg_.base_vci + client_i;
-
-  // The PDU crosses as ATM cells, mirroring TopologyRunner: segment with
-  // the AAL5 trailer, serialize on TX DMA, occupy the client's wire (drops
-  // decided at the far end), RX DMA, reassemble.
-  const std::vector<AtmCell> cells = AtmSegmenter::Segment(pdu.payload, vci);
-  const std::uint64_t wire_bytes = cells.size() * AtmCell::kPayloadBytes;
-  const SimTime t = srv.out_adapter().TxDma(wire_bytes, pdu.ready);
-  const TopoLink::Outcome out =
-      topo_.link(client_links_[client_i]).Transmit(wire_bytes, t);
+  const Topology::Outcome out = topo_.Carry(
+      client_legs_[it->second.spec.client], pdu.payload.size(), pdu.ready);
   if (out.dropped) {
     PduDropped(id);
     return;
   }
-  const SimTime rx_dma_done = rx.adapter.RxDma(wire_bytes, out.arrival);
+  const SimTime rx_dma_done = out.rx_dma_done;
   if (latency_enabled_ && rx_dma_done >= pdu.ready) {
-    // Staged-at-driver to RX-DMA-complete: TX DMA + cells on the wire + RX
-    // DMA — the PDU's whole time on the network path.
+    // Staged-at-driver to RX-DMA-complete: TX DMA + the wire + RX DMA — the
+    // PDU's whole time on the network path.
     lat_.wire.push_back(rx_dma_done - pdu.ready);
   }
-  std::vector<std::uint8_t> reassembled;
-  Status cell_st = Status::kExhausted;
-  for (const AtmCell& cell : cells) {
-    cell_st = reassemblers_[client_i]->Push(cell, &reassembled);
-  }
-  if (!Ok(cell_st)) {
-    FailRequest(id, cell_st);  // CRC failure cannot happen on these links
-    return;
-  }
   loop_.Schedule(Key(rx_dma_done), "deliver/" + std::to_string(id),
-                 [this, id, payload = std::move(reassembled),
+                 [this, id, payload = std::move(pdu.payload),
                   rx_dma_done]() mutable {
                    DeliverPduEvent(id, std::move(payload), rx_dma_done);
                  });
@@ -447,7 +424,8 @@ void ServeWorld::ScheduleNotice(std::uint64_t id, bool failed) {
   // The dealloc notice (or, for a dead flow, the kernel's failure notice)
   // rides back over the otherwise idle reverse channel: one cell's worth
   // of latency, and only then do the server's pins drop.
-  const SimTime at = Key(loop_.Now() + server().machine.costs().WireTime(48));
+  const SimTime at =
+      Key(loop_.Now() + server().machine.costs().WireTime(kCellPayloadBytes));
   loop_.Schedule(at,
                  (failed ? std::string("abort-notice/")
                          : std::string("dealloc-notice/")) + std::to_string(id),

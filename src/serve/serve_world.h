@@ -8,9 +8,9 @@
 // the FileServer over the IPC fabric — synchronously, or batched over
 // transfer rings when |use_rings| is set. The response blocks the server
 // pushes down its stack come out of the driver as staged PDUs; the world
-// segments them into ATM cells, runs them over the client's link (drops
-// included), reassembles, and delivers into the client's receive stack,
-// mirroring TopologyRunner's wire mechanics.
+// carries each over the client's leg with Topology::Carry (TX DMA, the
+// client's link with its drops, RX DMA), the pipeline TopologyRunner uses,
+// and delivers its payload into the client's receive stack.
 //
 // Flow lifecycle (§3.3): a request completes when its last PDU is delivered
 // (or accounted dropped); the client's dealloc notice rides back one cell
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "src/cache/file_cache.h"
-#include "src/net/atm.h"
 #include "src/pressure/backoff.h"
 #include "src/pressure/pressure.h"
 #include "src/serve/file_server.h"
@@ -121,11 +120,13 @@ class ServeWorld {
   EventLoop& loop() { return loop_; }
   Topology& topo() { return topo_; }
   SimHost& server() { return *topo_.host(server_node_); }
-  SimHost& client(std::size_t i) { return *topo_.host(client_nodes_[i]); }
+  SimHost& client(std::size_t i) { return *topo_.host(client_legs_[i].rx); }
   NodeId server_node() const { return server_node_; }
-  NodeId client_node(std::size_t i) const { return client_nodes_[i]; }
-  LinkId client_link(std::size_t i) const { return client_links_[i]; }
-  std::size_t client_count() const { return client_nodes_.size(); }
+  NodeId client_node(std::size_t i) const { return client_legs_[i].rx; }
+  LinkId client_link(std::size_t i) const {
+    return client_legs_[i].hops.front().link;
+  }
+  std::size_t client_count() const { return client_legs_.size(); }
   FileCache& cache() { return *cache_; }
   FileServer& file_server() { return *file_server_; }
   PressureManager* pressure() { return pressure_.get(); }
@@ -172,9 +173,7 @@ class ServeWorld {
   EventLoop loop_;
   Topology topo_;
   NodeId server_node_ = 0;
-  std::vector<NodeId> client_nodes_;
-  std::vector<LinkId> client_links_;
-  std::vector<std::unique_ptr<AtmReassembler>> reassemblers_;
+  std::vector<Leg> client_legs_;  // server -> client i, over client i's link
 
   Domain* frontend_dom_ = nullptr;
   PathId request_path_ = kNoPath;

@@ -2,15 +2,12 @@
 
 namespace fbufs {
 
-namespace {
-// ATM cell payload size (AAL5-style, 48 bytes of the 53-byte cell).
-constexpr std::uint64_t kCellPayload = 48;
-}  // namespace
-
 SimTime CostParams::DmaTime(std::uint64_t bytes) const {
-  const std::uint64_t cells = (bytes + kCellPayload - 1) / kCellPayload;
+  const std::uint64_t cells =
+      (bytes + kCellPayloadBytes - 1) / kCellPayloadBytes;
   // Per cell: start-up latency + payload transfer at bus peak + contention.
-  const SimTime per_cell_transfer = kCellPayload * 8 * 1000 / bus_peak_mbps;
+  const SimTime per_cell_transfer =
+      kCellPayloadBytes * 8 * 1000 / bus_peak_mbps;
   return cells * (dma_cell_startup_ns + per_cell_transfer + bus_contention_ns);
 }
 

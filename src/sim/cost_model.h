@@ -32,6 +32,11 @@ constexpr std::uint64_t kPageShift = 12;
 
 static_assert((std::uint64_t{1} << kPageShift) == kPageSize);
 
+// Payload bytes of one ATM cell (48 of the 53-byte cell). The adapter DMAs
+// cell by cell, and a one-cell control message (an ack, a dealloc notice)
+// is this long on the wire.
+constexpr std::uint64_t kCellPayloadBytes = 48;
+
 // All members are simulated nanoseconds unless the name says otherwise.
 struct CostParams {
   // --- Virtual memory primitives -------------------------------------------

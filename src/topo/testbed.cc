@@ -15,11 +15,11 @@ Testbed::Testbed(const TestbedConfig& config) : config_(config) {
                         &topo_.host(receiver_node_)->machine.costs(), "wire");
   runner_ = std::make_unique<TopologyRunner>(&topo_, &loop_);
 
-  TopologyRunner::Leg leg;
+  Leg leg;
   leg.tx = sender_nodes_[0];
   leg.rx = receiver_node_;
   leg.vci = kVci;
-  leg.hops.push_back(TopologyRunner::Hop{link_, kNoNode});
+  leg.hops.push_back(Hop{link_, kNoNode});
   runner_->AddFlow({leg}, topo_.host(receiver_node_)->sink.get(),
                    config.window);
 }
@@ -33,11 +33,11 @@ std::size_t Testbed::AddFlow(std::uint32_t vci, std::uint16_t port) {
       topo_.host(receiver_node_)->AddFlowEndpoint(vci, port, index);
 
   // Every flow shares the single null-modem wire, as before.
-  TopologyRunner::Leg leg;
+  Leg leg;
   leg.tx = tx;
   leg.rx = receiver_node_;
   leg.vci = vci;
-  leg.hops.push_back(TopologyRunner::Hop{link_, kNoNode});
+  leg.hops.push_back(Hop{link_, kNoNode});
   return runner_->AddFlow({leg}, sink, config_.window);
 }
 

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "src/net/atm.h"
 #include "src/net/driver.h"
 #include "src/net/link.h"
 #include "src/net/osiris.h"

@@ -7,9 +7,6 @@ namespace fbufs {
 
 namespace {
 
-using Leg = TopologyRunner::Leg;
-using Hop = TopologyRunner::Hop;
-
 // The receiver is always built first so its machine is the cost-model
 // reference for link timing (matching the historical testbed).
 NodeId BuildReceiver(BuiltTopology* b, const TopologyConfig& cfg,

@@ -8,14 +8,7 @@ namespace fbufs {
 std::size_t TopologyRunner::AddFlow(std::vector<Leg> legs, SinkProtocol* sink,
                                     std::uint32_t window) {
   assert(!legs.empty());
-  Flow flow;
-  flow.legs = std::move(legs);
-  flow.sink = sink;
-  flow.window = window;
-  for (std::size_t i = 0; i < flow.legs.size(); ++i) {
-    flow.reassemblers.push_back(std::make_unique<AtmReassembler>());
-  }
-  flows_.push_back(std::move(flow));
+  flows_.push_back(Flow{std::move(legs), sink, window});
   return flows_.size() - 1;
 }
 
@@ -127,9 +120,6 @@ void TopologyRunner::SenderStep(std::size_t flow) {
       SimHost::StagedPdu pdu = std::move(tx.staged.front());
       tx.staged.pop_front();
       RunLeg(flow, 0, m, std::move(pdu));
-      if (run.failed) {
-        return;
-      }
     }
   }
   ScheduleSenderStep(flow);
@@ -137,60 +127,26 @@ void TopologyRunner::SenderStep(std::size_t flow) {
 
 void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
                             std::uint64_t msg, SimHost::StagedPdu pdu) {
-  FlowRun& run = runs_[flow];
-  Flow& f = flows_[flow];
-  const Leg& leg = f.legs[leg_i];
-  SimHost& tx = *topo_->host(leg.tx);
-
-  // The PDU really crosses as ATM cells: segment with the AAL5 trailer,
-  // reassemble (length + CRC verified) on the receiving board. The serial
-  // resources are acquired in pipeline order; each acquisition advances
-  // that resource's busy-until, never a host clock.
-  const std::vector<AtmCell> cells = AtmSegmenter::Segment(pdu.payload, leg.vci);
-  const std::uint64_t wire_bytes = cells.size() * AtmCell::kPayloadBytes;
-  SimTime t = tx.out_adapter().TxDma(wire_bytes, pdu.ready);
-  for (const Hop& hop : leg.hops) {
-    const TopoLink::Outcome wire_out = topo_->link(hop.link).Transmit(wire_bytes, t);
-    t = wire_out.arrival;
-    if (wire_out.dropped) {
-      PduDropped(flow, msg);
-      return;
-    }
-    if (hop.via_switch != kNoNode) {
-      const SwitchNode::Outcome fwd =
-          topo_->switch_at(hop.via_switch)->Forward(leg.vci, wire_bytes, t);
-      if (fwd.dropped) {
-        PduDropped(flow, msg);
-        return;
-      }
-      t = fwd.done;
-    }
-  }
-  SimHost& rx = *topo_->host(leg.rx);
-  const SimTime rx_dma_done = rx.adapter.RxDma(wire_bytes, t);
-
-  std::vector<std::uint8_t> reassembled;
-  Status cell_st = Status::kExhausted;
-  for (const AtmCell& cell : cells) {
-    cell_st = f.reassemblers[leg_i]->Push(cell, &reassembled);
-  }
-  if (!Ok(cell_st)) {
-    run.failed = true;  // CRC failure cannot happen on these links
+  const std::vector<Leg>& legs = flows_[flow].legs;
+  const Topology::Outcome out =
+      topo_->Carry(legs[leg_i], pdu.payload.size(), pdu.ready);
+  if (out.dropped) {
+    PduDropped(flow, msg);
     return;
   }
-
-  if (leg_i + 1 == f.legs.size()) {
+  const SimTime rx_dma_done = out.rx_dma_done;
+  if (leg_i + 1 == legs.size()) {
     loop_->Schedule(
         Key(rx_dma_done),
         "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, msg, payload = std::move(reassembled), rx_dma_done]() mutable {
+        [this, flow, msg, payload = std::move(pdu.payload), rx_dma_done]() mutable {
           DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
         });
   } else {
     loop_->Schedule(
         Key(rx_dma_done),
         "relay/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, leg_i, msg, payload = std::move(reassembled),
+        [this, flow, leg_i, msg, payload = std::move(pdu.payload),
          rx_dma_done]() mutable {
           RelayEvent(flow, leg_i, msg, std::move(payload), rx_dma_done);
         });
@@ -330,9 +286,6 @@ void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
     SimHost::StagedPdu pdu = std::move(relay.staged.front());
     relay.staged.pop_front();
     RunLeg(flow, leg_i + 1, msg, std::move(pdu));
-    if (run.failed) {
-      return;
-    }
   }
   assert(run.pdus_left[msg] > 0);
   if (--run.pdus_left[msg] == 0) {
@@ -364,7 +317,8 @@ void TopologyRunner::CompleteMessage(std::size_t flow, std::uint64_t msg) {
   }
   // The acknowledgement rides back over the (otherwise idle) reverse
   // channel: one cell's worth of latency.
-  const SimTime ack_t = rx_clock.Now() + rx.machine.costs().WireTime(48);
+  const SimTime ack_t =
+      rx_clock.Now() + rx.machine.costs().WireTime(kCellPayloadBytes);
   run.completed++;
   loop_->Schedule(Key(ack_t),
                   "ack/" + std::to_string(flow) + "/" + std::to_string(msg),

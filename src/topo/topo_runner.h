@@ -2,15 +2,15 @@
 // engine and reports per-flow throughput/goodput plus per-resource
 // utilization.
 //
-// A flow is a route of one or more legs. Each leg runs the full testbed
-// pipeline — segment to ATM cells, TX DMA, one or more wire hops (each
-// optionally through a switch), RX DMA, reassemble — and ends at either the
-// final receiver (sink delivery, "deliver/<flow>/<msg>") or a relay host
-// ("relay/<flow>/<msg>"), which receives the PDU into fbufs, forwards
-// fbuf-to-fbuf across its domains onto the second adapter, and the next leg
-// carries what it staged. Dropped PDUs (lossy link, full switch queue) are
-// counted and still complete their message's flow-control accounting, so
-// the sender window never hangs on loss.
+// A flow is a route of one or more legs. Topology::Carry runs each leg's
+// pipeline — TX DMA, one or more wire hops (each optionally through a
+// switch), RX DMA — and the PDU's payload moves untouched into its arrival
+// event at either the final receiver (sink delivery, "deliver/<flow>/<msg>")
+// or a relay host ("relay/<flow>/<msg>"), which receives the PDU into fbufs,
+// forwards fbuf-to-fbuf across its domains onto the second adapter, and the
+// next leg carries what it staged. Dropped PDUs (lossy link, full switch
+// queue) are counted and still complete their message's flow-control
+// accounting, so the sender window never hangs on loss.
 //
 // The two-host Testbed is the one-link special case: with a single leg and
 // a single hop this runner executes exactly the historical testbed schedule
@@ -20,11 +20,9 @@
 #define SRC_TOPO_TOPO_RUNNER_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/net/atm.h"
 #include "src/pressure/backoff.h"
 #include "src/sim/event_loop.h"
 #include "src/topo/topology.h"
@@ -81,23 +79,6 @@ class TopologyRunner {
  public:
   TopologyRunner(Topology* topo, EventLoop* loop) : topo_(topo), loop_(loop) {}
 
-  // One wire hop: a link, optionally terminating at a switch that forwards
-  // onto the next hop's link.
-  struct Hop {
-    LinkId link = 0;
-    NodeId via_switch = kNoNode;  // set when the hop lands on a switch
-  };
-
-  // One leg: |tx| stages PDUs on its outbound adapter, they cross |hops|,
-  // and |rx| receives them (a relay continues onto the next leg, the last
-  // leg's rx is the final receiver).
-  struct Leg {
-    NodeId tx = 0;
-    NodeId rx = 0;
-    std::uint32_t vci = 0;  // VCI the PDUs carry on this leg
-    std::vector<Hop> hops;
-  };
-
   // Adds a flow along |legs| delivering into |sink| (a sink on the last
   // leg's rx host). |window| is the sliding-window depth in messages.
   // Returns the flow index.
@@ -130,8 +111,6 @@ class TopologyRunner {
     std::vector<Leg> legs;
     SinkProtocol* sink = nullptr;
     std::uint32_t window = 8;
-    // One reassembler per leg (each leg is its own AAL5 conversation).
-    std::vector<std::unique_ptr<AtmReassembler>> reassemblers;
   };
 
   // Per-flow state of one RunFlows invocation.

@@ -96,4 +96,26 @@ LinkId Topology::AddLink(NodeId from, NodeId to, const CostParams* costs,
   return id;
 }
 
+Topology::Outcome Topology::Carry(const Leg& leg, std::uint64_t payload_bytes,
+                                  SimTime ready) {
+  const std::uint64_t wire_bytes = AalWireBytes(payload_bytes);
+  SimTime t = host(leg.tx)->out_adapter().TxDma(wire_bytes, ready);
+  for (const Hop& hop : leg.hops) {
+    const TopoLink::Outcome wire = link(hop.link).Transmit(wire_bytes, t);
+    if (wire.dropped) {
+      return {0, true};
+    }
+    t = wire.arrival;
+    if (hop.via_switch != kNoNode) {
+      const SwitchNode::Outcome fwd =
+          switch_at(hop.via_switch)->Forward(leg.vci, wire_bytes, t);
+      if (fwd.dropped) {
+        return {0, true};
+      }
+      t = fwd.done;
+    }
+  }
+  return {host(leg.rx)->adapter.RxDma(wire_bytes, t), false};
+}
+
 }  // namespace fbufs

@@ -12,6 +12,9 @@
 // Switches forward per-VCI to an output port with a bounded queue measured
 // in PDUs: a PDU arriving at a full queue is dropped (counted, observable),
 // never stalled — exactly how an output-queued ATM switch sheds load.
+//
+// Topology::Carry is the one wire pipeline: every harness that moves a PDU
+// from one host's adapter to another's (TopologyRunner, ServeWorld) calls it.
 #ifndef SRC_TOPO_TOPOLOGY_H_
 #define SRC_TOPO_TOPOLOGY_H_
 
@@ -22,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "src/net/atm.h"
 #include "src/net/link.h"
 #include "src/sim/rng.h"
 #include "src/obs/metrics.h"
@@ -166,11 +170,42 @@ class SwitchNode {
   MetricsRegistry* metrics_ = nullptr;
 };
 
+// One wire hop: a link, optionally terminating at a switch that forwards
+// onto the next hop's link.
+struct Hop {
+  LinkId link = 0;
+  NodeId via_switch = kNoNode;  // set when the hop lands on a switch
+};
+
+// One leg: |tx| stages PDUs on its outbound adapter, they cross |hops|,
+// and |rx| receives them (a relay continues onto the next leg, the last
+// leg's rx is the final receiver).
+struct Leg {
+  NodeId tx = 0;
+  NodeId rx = 0;
+  std::uint32_t vci = 0;  // VCI the PDUs carry on this leg
+  std::vector<Hop> hops;
+};
+
 // The graph. Nodes are added in a fixed order (construction order is part of
 // a scenario's deterministic identity); links reference nodes by id.
 class Topology {
  public:
   explicit Topology(std::uint64_t seed = 0x5eed) : seed_(seed) {}
+
+  struct Outcome {
+    SimTime rx_dma_done = 0;  // 0 when dropped
+    bool dropped = false;
+  };
+
+  // Carries one PDU of |payload_bytes|, staged at |ready|, along |leg|: TX
+  // DMA on |tx|'s outbound adapter, each hop's wire (and switch), RX DMA on
+  // |rx|'s adapter. Every stage moves the PDU's AAL5 cells,
+  // AalWireBytes(payload_bytes). The serial resources are acquired in
+  // pipeline order; each acquisition advances that resource's busy-until,
+  // never a host clock. A PDU lost on a wire or shed by a switch goes no
+  // further.
+  Outcome Carry(const Leg& leg, std::uint64_t payload_bytes, SimTime ready);
 
   NodeId AddHost(std::unique_ptr<SimHost> host);
   NodeId AddSwitch(const std::string& name, std::vector<SwitchPortConfig> ports);

@@ -37,9 +37,12 @@ TEST(Atm, SegmentProducesCellMultiples) {
 }
 
 TEST(Atm, RoundTripExactSizes) {
-  for (const std::size_t n : {1u, 40u, 41u, 48u, 96u, 1000u, 16384u}) {
+  for (const std::size_t n :
+       {1u, 39u, 40u, 41u, 48u, 88u, 89u, 96u, 1000u, 16384u}) {
     const auto pdu = Pattern(n, 9);
     const auto cells = AtmSegmenter::Segment(pdu, 7);
+    // The wire-size formula the simulated links charge is the cell count.
+    EXPECT_EQ(AalWireBytes(n), cells.size() * AtmCell::kPayloadBytes) << n;
     AtmReassembler r;
     std::vector<std::uint8_t> out;
     Status st = Status::kExhausted;
@@ -116,10 +119,12 @@ TEST(Atm, RandomSizesProperty) {
     for (auto& b : pdu) {
       b = static_cast<std::uint8_t>(rng.Next());
     }
+    const auto cells = AtmSegmenter::Segment(pdu, 1);
+    EXPECT_EQ(AalWireBytes(n), cells.size() * AtmCell::kPayloadBytes) << n;
     AtmReassembler r;
     std::vector<std::uint8_t> out;
     Status st = Status::kExhausted;
-    for (const AtmCell& c : AtmSegmenter::Segment(pdu, 1)) {
+    for (const AtmCell& c : cells) {
       st = r.Push(c, &out);
     }
     ASSERT_EQ(st, Status::kOk) << n;

@@ -1,8 +1,7 @@
-// Tests for the IPC layer: ports, RPC latency accounting, service dispatch,
-// and piggyback hooks.
+// Tests for the IPC layer: RPC latency accounting, service dispatch, and
+// piggyback hooks.
 #include <gtest/gtest.h>
 
-#include "src/ipc/port.h"
 #include "src/ipc/rpc.h"
 #include "tests/test_util.h"
 
@@ -11,27 +10,6 @@ namespace {
 
 using testing_util::World;
 using testing_util::ZeroCostConfig;
-
-TEST(Port, FifoOrder) {
-  Port port;
-  ASSERT_EQ(port.Send(PortMessage{1, 10, 0, 0}), Status::kOk);
-  ASSERT_EQ(port.Send(PortMessage{2, 20, 0, 0}), Status::kOk);
-  auto m1 = port.Receive();
-  auto m2 = port.Receive();
-  ASSERT_TRUE(m1 && m2);
-  EXPECT_EQ(m1->kind, 1u);
-  EXPECT_EQ(m2->kind, 2u);
-  EXPECT_FALSE(port.Receive().has_value());
-}
-
-TEST(Port, CapacityBound) {
-  Port port(2);
-  EXPECT_EQ(port.Send(PortMessage{}), Status::kOk);
-  EXPECT_EQ(port.Send(PortMessage{}), Status::kOk);
-  EXPECT_EQ(port.Send(PortMessage{}), Status::kExhausted);
-  port.Receive();
-  EXPECT_EQ(port.Send(PortMessage{}), Status::kOk);
-}
 
 TEST(Rpc, KernelUserCrossingCharges) {
   Machine m{MachineConfig{}};
