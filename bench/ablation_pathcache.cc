@@ -21,7 +21,7 @@ double PerPduUs(std::uint32_t vcis, std::string* attr_json = nullptr) {
   cfg.placement = StackPlacement::kUserKernel;
   cfg.cached = true;
   Testbed tb(cfg);
-  Testbed::Host& rx = tb.receiver();
+  SimHost& rx = tb.receiver();
   // Register one data path per VCI (all sharing the same domain chain).
   std::vector<PathId> paths;
   for (std::uint32_t v = 0; v < vcis; ++v) {

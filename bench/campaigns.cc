@@ -72,6 +72,9 @@ std::uint64_t g_scale = 1;
 
 SimTime At(std::uint64_t ms) { return ms * kMillisecond / g_scale; }
 
+// Report seed of the SWP-world campaigns: both loss streams' seeds folded.
+constexpr std::uint64_t kSwpSeed = SwpWorld::kFwdSeed ^ SwpWorld::kRevSeed;
+
 void AuditAllHosts(CampaignRunner* cr, BuiltTopology* b) {
   for (NodeId n = 0; n < b->topo->node_count(); ++n) {
     if (b->topo->is_switch(n)) {
@@ -357,7 +360,7 @@ CampaignReport RunAckOnlyLoss() {
   JourneyAudit ja;
   ja.Attach(&w.machine);
 
-  CampaignRunner cr("ack_only_loss", wc.fwd_seed ^ wc.rev_seed, &w.loop);
+  CampaignRunner cr("ack_only_loss", kSwpSeed, &w.loop);
   cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
   cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
 
@@ -393,7 +396,7 @@ CampaignReport RunAckOnlyLoss() {
 // --- Campaign 3: RTO sensitivity sweep at fixed symmetric loss ---------------
 
 CampaignReport RunRtoSweep() {
-  CampaignReport master("rto_sweep", 11 ^ 13);
+  CampaignReport master("rto_sweep", kSwpSeed);
   master.AddScheduledFault({"symmetric-loss20", "set_link_loss", 0, 0, 20});
   bool all_ok = true;
   TraceExporter ex;
@@ -409,7 +412,7 @@ CampaignReport RunRtoSweep() {
     JourneyAudit ja;
     ja.Attach(&w.machine);
 
-    CampaignRunner cr("rto_sweep_point", 11 ^ 13, &w.loop);
+    CampaignRunner cr("rto_sweep_point", kSwpSeed, &w.loop);
     cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
     cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
     cr.Arm(FaultSchedule{});
@@ -517,7 +520,7 @@ CampaignReport RunHoarder() {
   JourneyAudit ja;
   ja.Attach(&w.machine);
 
-  CampaignRunner cr("hoarder", wc.fwd_seed ^ wc.rev_seed, &w.loop);
+  CampaignRunner cr("hoarder", kSwpSeed, &w.loop);
   cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
   cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
 
@@ -593,7 +596,7 @@ CampaignReport RunServerChurn() {
     ja.Attach(&world.client(c).machine);
   }
 
-  CampaignRunner cr("server_churn", wc.topo_seed, &world.loop());
+  CampaignRunner cr("server_churn", ServeWorld::kTopoSeed, &world.loop());
   // No TopologyRunner here — ServeWorld drives its own wire — so phase rows
   // carry audits and fault markers, not flow goodput.
   cr.AttachTopology(&world.topo(), nullptr);
@@ -625,7 +628,7 @@ CampaignReport RunServerChurn() {
   cr.ScheduleAudit(kAxe, "post-churn");
 
   std::vector<ServeRequestSpec> schedule;
-  Rng pick(wc.topo_seed ^ 0xc402);
+  Rng pick(ServeWorld::kTopoSeed ^ 0xc402);
   const std::uint64_t requests = 2000 / g_scale;
   for (std::uint64_t i = 0; i < requests; ++i) {
     ServeRequestSpec r;
@@ -752,8 +755,8 @@ CampaignReport RunCongestionCollapse() {
     if (i == kVictim) {
       continue;
     }
-    survivors_drained = survivors_drained && f.accepted == messages &&
-                        !f.backoff.stalled && !f.failed;
+    survivors_drained = survivors_drained && f.producer->accepted() == messages &&
+                        !f.producer->stalled() && !f.producer->failed();
   }
   const IncastWorld::Flow& victim = w.flow(kVictim);
   const bool victim_clean = victim.ledger->pinned_pdus() == 0 &&

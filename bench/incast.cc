@@ -76,9 +76,6 @@ IncastWorldConfig ConfigFor(TransportKind kind, std::uint32_t fanin) {
   // it from probing that high; credit's aggregate (1 per flow) never
   // exceeds the queue at any swept fan-in.
   cfg.window = 8;
-  cfg.initial_credits = 1;
-  cfg.max_credit = 1;
-  cfg.ssthresh = 2;
   // Mark when a flow's standing share of a switch queue exceeds two PDUs,
   // so AIMD converges below the drop point instead of probing into it.
   cfg.ecn_threshold_pdus = kind == TransportKind::kAimd ? 2 : 0;

@@ -6,10 +6,50 @@ namespace fbufs {
 
 namespace {
 
-MachineConfig MachineFor(const IncastWorldConfig& cfg) {
-  MachineConfig m;
-  m.phys_frames = cfg.phys_frames;
-  return m;
+// Credit transport: sender's budget before the first grant arrives, and the
+// ceiling CreditFor may grant per flow. One credit per flow keeps the
+// worst-case aggregate in-flight (flows × credit) at or under the bottleneck
+// queue — loss-freedom is the whole point of the scheme.
+constexpr std::uint32_t kInitialCredits = 1;
+constexpr std::uint32_t kMaxCredit = 1;
+// AIMD slow-start threshold.
+constexpr std::uint32_t kSsthresh = 2;
+
+// RTO above the worst legitimate RTT (ingress serialization plus two
+// near-full switch queues ≈ 45 ms at the line rate and default queue depth),
+// so a timeout means a drop, not patience running out.
+constexpr SimTime kRto = 80 * kMillisecond;
+// Reverse-path (ack) latency; acks are tiny and never contend.
+constexpr SimTime kAckDelay = 20 * kMicrosecond;
+// Producer re-try pace when the window/credits close. Much shorter than the
+// RTO: acks arrive at RTT timescales (queueing + kAckDelay), and a producer
+// that napped a whole RTO would quantize every transport's goodput to
+// window-per-RTO bursts, hiding the congestion dynamics this world exists to
+// show. The cap is RTT-scale too, for the same reason.
+constexpr SimTime kParkInitial = 250 * kMicrosecond;
+constexpr SimTime kParkCap = 4 * kMillisecond;
+// Watchdog only: deep in the collapse a fixed-window flow legitimately
+// starves for whole seconds (consecutive RTOs while the bottleneck services
+// other flows' duplicates). True wedges still surface — the loop quiesces
+// and the bench's drain check fails.
+constexpr SimTime kStallHorizon = 10000 * kMillisecond;
+
+// OC-3 line rates. The fabric must be the bottleneck for congestion to
+// exist: all domains share one host CPU (one clock), which can source
+// roughly one PDU per ~0.6 ms of protocol + crossing work, so the line rate
+// sits well below that packet rate at the 32 KB PDU the benches use. (At the
+// paper's 516 Mbps a 32 KB PDU serializes in 0.5 ms — the CPU, not the wire,
+// would saturate first, and no queue would ever build.)
+constexpr double kUplinkMbps = 155.0;  // sender NIC wire and ToR uplink line rate
+constexpr double kCoreMbps = 155.0;    // core downlink to the receiver: the bottleneck
+
+FlowBackoff ProducerBackoff() {
+  FlowBackoff b;
+  b.policy.initial = kParkInitial;
+  b.policy.multiplier = 2;
+  b.policy.cap = kParkCap;
+  b.stall_horizon = kStallHorizon;
+  return b;
 }
 
 // Sender and receiver run the same transport kind — the wire format (16 vs
@@ -21,11 +61,11 @@ std::unique_ptr<Transport> MakeTransport(const IncastWorldConfig& cfg,
     case TransportKind::kFixedWindow:
       return std::make_unique<SwpProtocol>(d, s, hdr, cfg.window);
     case TransportKind::kCredit:
-      return std::make_unique<CreditTransport>(d, s, hdr, cfg.initial_credits);
+      return std::make_unique<CreditTransport>(d, s, hdr, kInitialCredits);
     case TransportKind::kAimd: {
       AimdPolicy::Config ac;
       ac.initial_cwnd = 1;
-      ac.initial_ssthresh = cfg.ssthresh;
+      ac.initial_ssthresh = kSsthresh;
       ac.max_cwnd = cfg.window;
       return std::make_unique<AimdTransport>(d, s, hdr, ac);
     }
@@ -48,14 +88,12 @@ const char* TransportKindName(TransportKind k) {
 }
 
 IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
-    : machine(MachineFor(cfg)),
-      fsys(&machine),
+    : fsys(&machine),
       rpc(&machine),
       stack(&machine, &fsys, &rpc),
       topo(cfg.seed),
-      pressure(&fsys, cfg.pressure),
-      receiver_domain(machine.CreateDomain("receiver")),
-      cfg_(cfg) {
+      pressure(&fsys),
+      receiver_domain(machine.CreateDomain("receiver")) {
   fsys.AttachRpc(&rpc);
   fsys.AttachEventLoop(&loop);
   pressure.AttachEventLoop(&loop);
@@ -68,13 +106,13 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
   // bottleneck every flow crosses).
   for (std::uint32_t r = 0; r < cfg.racks; ++r) {
     SwitchPortConfig up;
-    up.mbps = cfg.uplink_mbps;
+    up.mbps = kUplinkMbps;
     up.queue_pdus = cfg.switch_queue_pdus;
     tor_nodes_.push_back(topo.AddSwitch("tor" + std::to_string(r), {up}));
     topo.switch_at(tor_nodes_.back())->set_ecn_threshold(cfg.ecn_threshold_pdus);
   }
   SwitchPortConfig down;
-  down.mbps = cfg.core_mbps;
+  down.mbps = kCoreMbps;
   down.queue_pdus = cfg.switch_queue_pdus;
   core_node_ = topo.AddSwitch("core", {down});
   topo.switch_at(core_node_)->set_ecn_threshold(cfg.ecn_threshold_pdus);
@@ -98,14 +136,14 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
     // itself); both endpoints record the rack's ToR for the fault scripts.
     f->ingress = topo.AddLink(tor_nodes_[f->rack], tor_nodes_[f->rack],
                               &machine.costs(), "ingress/" + std::to_string(i),
-                              cfg.uplink_mbps);
+                              kUplinkMbps);
     topo.switch_at(tor_nodes_[f->rack])->Route(f->vci, 0);
     topo.switch_at(core_node_)->Route(f->vci, 0);
 
     f->sender->set_below(f->fwd.get());
     f->receiver->set_below(f->rev.get());
     f->receiver->set_above(f->sink.get());
-    f->sender->AttachTimer(&loop, cfg.rto);
+    f->sender->AttachTimer(&loop, kRto);
     f->sender->AttachLedger(f->ledger.get());
     f->sender->InstallAbortOnTermination();
     pressure.AttachRetransmitLedger(f->ledger.get());
@@ -115,15 +153,13 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
       // backward pressure path — a squeezed pool shrinks grants toward 1.
       const std::size_t idx = i;
       f->receiver->SetCreditSource([this, idx, flows] {
-        const Flow& fl = *flows_[idx];
-        const std::uint64_t pdu_pages = PagesFor(fl.bytes > 0 ? fl.bytes : kPageSize);
-        return pressure.CreditFor(pdu_pages, flows, cfg_.max_credit);
+        const std::uint64_t bytes = flows_[idx]->producer->bytes();
+        const std::uint64_t pdu_pages = PagesFor(bytes > 0 ? bytes : kPageSize);
+        return pressure.CreditFor(pdu_pages, flows, kMaxCredit);
       });
     }
-    f->backoff.policy.initial = cfg.park_initial;
-    f->backoff.policy.multiplier = 2;
-    f->backoff.policy.cap = cfg.park_cap;
-    f->backoff.stall_horizon = cfg.stall_horizon;
+    f->producer = std::make_unique<FlowDriver>(&fsys, &loop, sd, f->data,
+                                               f->sender.get(), ProducerBackoff());
     flows_.push_back(std::move(f));
   }
 }
@@ -201,7 +237,7 @@ Status IncastWorld::AckChannel::Push(Message m) {
     return st;
   }
   Machine& mach = *stack_->machine();
-  const SimTime arrival = mach.clock().Now() + world_->cfg_.ack_delay_ns;
+  const SimTime arrival = mach.clock().Now() + kAckDelay;
   world_->loop.Schedule(
       std::max(world_->loop.Now(), arrival), "incast-ack",
       [this, m, arrival] {
@@ -219,72 +255,17 @@ void IncastWorld::EnableLatency() {
   latency_enabled_ = true;
   for (auto& f : flows_) {
     f->sender->AttachLatency(&f->lat);
+    f->producer->SampleQueueWait(&f->lat.queue_wait);
   }
 }
 
 void IncastWorld::StartProducers(int messages, std::uint64_t bytes) {
-  for (auto& fp : flows_) {
-    Flow* f = fp.get();
-    f->target = messages;
-    f->bytes = bytes;
-    f->produce = [this, f] {
-      while (f->accepted < f->target) {
-        if (!f->sender_domain->alive()) {
-          return;  // terminated mid-campaign: the flow ends, not fails
-        }
-        Fbuf* fb = nullptr;
-        Status st = fsys.Allocate(*f->sender_domain, f->data, f->bytes,
-                                  /*want_volatile=*/true, &fb);
-        if (Ok(st)) {
-          st = f->sender_domain->TouchRange(fb->base, f->bytes, Access::kWrite);
-          if (Ok(st)) {
-            st = f->sender->Push(Message::Whole(fb));
-          }
-          // The producer's reference always drops, push or no push.
-          const Status free_st = fsys.Free(fb, *f->sender_domain);
-          if (Ok(st) && !Ok(free_st)) {
-            st = free_st;
-          }
-        }
-        if (Ok(st)) {
-          f->accepted++;
-          if (latency_enabled_) {
-            // Admission wait for this message: first refusal to acceptance.
-            // Unparked accepts contribute a zero so count == accepted.
-            const SimTime now = machine.clock().Now();
-            f->lat.queue_wait.push_back(
-                f->waiting && now >= f->wait_start ? now - f->wait_start : 0);
-            f->waiting = false;
-          }
-          f->backoff.Progress(loop.Now());
-          continue;
-        }
-        if (!IsBackpressure(st)) {
-          f->failed = true;  // hard error: retrying cannot help
-          return;
-        }
-        if (latency_enabled_ && !f->waiting) {
-          f->waiting = true;
-          f->wait_start = machine.clock().Now();
-        }
-        const auto delay = f->backoff.Park(loop.Now());
-        if (!delay.has_value()) {
-          return;  // watchdog: no progress inside the horizon — give up
-        }
-        f->parks++;
-        loop.Schedule(std::max(loop.Now(), machine.clock().Now()) + *delay,
-                      "incast-produce", f->produce);
-        return;
-      }
-    };
-    loop.Schedule(loop.Now(), "incast-produce", f->produce);
+  for (auto& f : flows_) {
+    f->producer->Start(messages, bytes);
   }
 }
 
-void IncastWorld::StopProducer(std::size_t flow) {
-  Flow& f = *flows_[flow];
-  f.target = f.accepted;  // the pending produce event exits immediately
-}
+void IncastWorld::StopProducer(std::size_t flow) { flows_[flow]->producer->Stop(); }
 
 std::uint64_t IncastWorld::total_delivered() const {
   std::uint64_t n = 0;
@@ -305,7 +286,7 @@ std::uint64_t IncastWorld::total_retransmissions() const {
 std::uint64_t IncastWorld::total_accepted() const {
   std::uint64_t n = 0;
   for (const auto& f : flows_) {
-    n += static_cast<std::uint64_t>(f->accepted);
+    n += static_cast<std::uint64_t>(f->producer->accepted());
   }
   return n;
 }
@@ -313,7 +294,7 @@ std::uint64_t IncastWorld::total_accepted() const {
 std::uint64_t IncastWorld::total_parks() const {
   std::uint64_t n = 0;
   for (const auto& f : flows_) {
-    n += f->parks;
+    n += f->producer->parks();
   }
   return n;
 }
@@ -338,7 +319,7 @@ std::uint64_t IncastWorld::ecn_marks() {
 
 bool IncastWorld::any_producer_stalled() const {
   for (const auto& f : flows_) {
-    if (f->backoff.stalled) {
+    if (f->producer->stalled()) {
       return true;
     }
   }
@@ -347,7 +328,7 @@ bool IncastWorld::any_producer_stalled() const {
 
 bool IncastWorld::any_producer_failed() const {
   for (const auto& f : flows_) {
-    if (f->failed) {
+    if (f->producer->failed()) {
       return true;
     }
   }

@@ -28,13 +28,12 @@
 #define SRC_FAULT_INCAST_WORLD_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/fault/flow_driver.h"
 #include "src/obs/latency.h"
-#include "src/pressure/backoff.h"
 #include "src/pressure/pressure.h"
 #include "src/pressure/retransmit_ledger.h"
 #include "src/proto/swp.h"
@@ -57,50 +56,13 @@ struct IncastWorldConfig {
 
   // Fixed-window size (kFixedWindow) and the AIMD max_cwnd.
   std::uint32_t window = 8;
-  // Credit transport: sender's budget before the first grant arrives, and
-  // the ceiling CreditFor may grant per flow. One credit per flow keeps the
-  // worst-case aggregate in-flight (flows × credit) at or under the
-  // bottleneck queue — loss-freedom is the whole point of the scheme.
-  std::uint32_t initial_credits = 1;
-  std::uint32_t max_credit = 1;
-  // AIMD slow-start threshold.
-  std::uint32_t ssthresh = 2;
-
-  // RTO above the worst legitimate RTT (ingress serialization plus two
-  // near-full switch queues ≈ 45 ms at the default line rate and queue
-  // depth), so a timeout means a drop, not patience running out.
-  SimTime rto = 80 * kMillisecond;
-  // Reverse-path (ack) latency; acks are tiny and never contend.
-  SimTime ack_delay_ns = 20 * kMicrosecond;
-  // Producer re-try pace when the window/credits close. Much shorter than
-  // the RTO: acks arrive at RTT timescales (queueing + ack_delay), and a
-  // producer that napped a whole RTO would quantize every transport's
-  // goodput to window-per-RTO bursts, hiding the congestion dynamics this
-  // world exists to show. The cap is RTT-scale too, for the same reason.
-  SimTime park_initial = 250 * kMicrosecond;
-  SimTime park_cap = 4 * kMillisecond;
 
   // Per-VCI ECN marking threshold at both switch tiers; 0 disables (the
   // fixed-window and credit configurations run drop-only fabrics).
   std::size_t ecn_threshold_pdus = 0;
   std::size_t switch_queue_pdus = 32;
-  // OC-3 line rates. The fabric must be the bottleneck for congestion to
-  // exist: all domains share one host CPU (one clock), which can source
-  // roughly one PDU per ~0.6 ms of protocol + crossing work, so the line
-  // rate sits well below that packet rate at the 32 KB PDU the benches use.
-  // (At the paper's 516 Mbps a 32 KB PDU serializes in 0.5 ms — the CPU,
-  // not the wire, would saturate first, and no queue would ever build.)
-  double uplink_mbps = 155.0;  // sender NIC wire and ToR uplink line rate
-  double core_mbps = 155.0;    // core downlink to the receiver: the bottleneck
 
-  std::uint32_t phys_frames = 16384;
   std::uint64_t seed = 0x1ca5;
-  // Watchdog only: deep in the collapse a fixed-window flow legitimately
-  // starves for whole seconds (consecutive RTOs while the bottleneck
-  // services other flows' duplicates). True wedges still surface — the
-  // loop quiesces and the bench's drain check fails.
-  SimTime stall_horizon = 10000 * kMillisecond;
-  PressureConfig pressure;
 };
 
 class IncastWorld {
@@ -169,21 +131,14 @@ class IncastWorld {
     std::unique_ptr<FabricChannel> fwd;
     std::unique_ptr<AckChannel> rev;
 
-    // Producer state (the SwpWorld producer, one per flow).
-    int target = 0;
-    std::uint64_t bytes = 0;
-    int accepted = 0;
-    FlowBackoff backoff;
-    std::uint64_t parks = 0;
-    bool failed = false;
-    std::function<void()> produce;
+    // The flow's producer, the same FlowDriver loop SwpWorld runs; started
+    // by StartProducers.
+    std::unique_ptr<FlowDriver> producer;
 
     // Per-flow latency decomposition (EnableLatency): the sender transport
     // feeds wire/retransmit/pin_hold; the producer and the delivery event
     // feed queue_wait and dispatch.
     LatencyDecomposition lat;
-    SimTime wait_start = 0;
-    bool waiting = false;
   };
 
   // Turns on latency-decomposition sampling for every flow (the transports
@@ -229,7 +184,6 @@ class IncastWorld {
   EventLoop loop;
 
  private:
-  IncastWorldConfig cfg_;
   std::vector<NodeId> tor_nodes_;
   NodeId core_node_ = kNoNode;
   bool latency_enabled_ = false;

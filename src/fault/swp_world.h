@@ -4,16 +4,15 @@
 // One machine, two domains, an SWP sender/receiver pair joined by two
 // LossyChannels (independent SplitMix64 streams for the data and ack
 // directions — that independence is what makes kAckPathOnlyLoss a precise
-// instrument), a sink, and a producer that keeps the window full on the
+// instrument), a sink, and the FlowDriver that keeps the window full on the
 // event loop. This is the swp_goodput bench's world, factored out so the
 // campaigns and tests build the identical conversation.
 #ifndef SRC_FAULT_SWP_WORLD_H_
 #define SRC_FAULT_SWP_WORLD_H_
 
 #include <cstdint>
-#include <functional>
 
-#include "src/pressure/backoff.h"
+#include "src/fault/flow_driver.h"
 #include "src/proto/swp.h"
 #include "src/proto/test_protocols.h"
 #include "src/sim/event_loop.h"
@@ -22,10 +21,7 @@
 namespace fbufs {
 
 struct SwpWorldConfig {
-  std::uint32_t window = 8;
   SimTime rto = 2 * kMillisecond;
-  std::uint64_t fwd_seed = 11;
-  std::uint64_t rev_seed = 13;
   std::uint32_t fwd_loss = 0;  // data-direction drop percent
   std::uint32_t rev_loss = 0;  // ack-direction drop percent
   // Simulated physical memory (pressure campaigns shrink this).
@@ -36,6 +32,11 @@ struct SwpWorldConfig {
 };
 
 struct SwpWorld {
+  static constexpr std::uint32_t kWindow = 8;
+  // Seeds of the data- and ack-direction loss streams.
+  static constexpr std::uint64_t kFwdSeed = 11;
+  static constexpr std::uint64_t kRevSeed = 13;
+
   explicit SwpWorld(const SwpWorldConfig& cfg = SwpWorldConfig());
 
   // Keeps the window full until |messages| of |bytes| each were accepted.
@@ -45,14 +46,16 @@ struct SwpWorld {
   // window) and retries; the stall watchdog fails it after |stall_horizon|
   // without progress. Hard errors stop it immediately.
   // Call once, then run |loop| to quiescence.
-  void StartProducer(int messages, std::uint64_t bytes);
+  void StartProducer(int messages, std::uint64_t bytes) {
+    producer_.Start(messages, bytes);
+  }
 
-  int accepted() const { return accepted_; }
-  std::uint64_t producer_parks() const { return parks_; }
+  int accepted() const { return producer_.accepted(); }
+  std::uint64_t producer_parks() const { return producer_.parks(); }
   // Watchdog verdict: the producer gave up without reaching its target.
-  bool producer_stalled() const { return backoff_.stalled; }
+  bool producer_stalled() const { return producer_.stalled(); }
   // A non-backpressure error stopped the producer.
-  bool producer_failed() const { return producer_failed_; }
+  bool producer_failed() const { return producer_.failed(); }
 
   Machine machine;
   FbufSystem fsys;
@@ -71,14 +74,7 @@ struct SwpWorld {
   EventLoop loop;
 
  private:
-  SimTime rto_;
-  int target_ = 0;
-  std::uint64_t bytes_ = 0;
-  int accepted_ = 0;
-  FlowBackoff backoff_;
-  std::uint64_t parks_ = 0;
-  bool producer_failed_ = false;
-  std::function<void()> produce_;
+  FlowDriver producer_;
 };
 
 }  // namespace fbufs

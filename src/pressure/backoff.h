@@ -3,10 +3,10 @@
 // The fbuf pool is a shared resource: when an allocation (or a send window)
 // comes back exhausted, the productive reaction is to park the flow on the
 // event loop and try again later — not to fail it, and not to spin. Every
-// parked sender in the tree (SWP producer, topology flows, the pressure
-// bench) uses this one policy so "capped exponential backoff" means the same
-// thing everywhere, and the same stall watchdog bounds how long a flow may
-// go without progress before it is failed for good.
+// parked sender in the tree (the FlowDriver producer, ServeWorld requests,
+// the pressure bench) uses this one policy so "capped exponential backoff"
+// means the same thing everywhere, and the same stall watchdog bounds how
+// long a flow may go without progress before it is failed for good.
 //
 // Everything here is deterministic (no jitter): backoff delays are a pure
 // function of the attempt count, which keeps same-seed runs byte-identical.

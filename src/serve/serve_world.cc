@@ -6,21 +6,27 @@
 
 namespace fbufs {
 
+namespace {
+constexpr double kClientLinkMbps = 155.0;  // per-client access link (TAXI rate)
+constexpr std::uint32_t kBaseVci = 40;     // client i listens on kBaseVci + i
+constexpr std::uint16_t kPort = 80;
+}  // namespace
+
 ServeWorld::ServeWorld(const ServeWorldConfig& config)
-    : cfg_(config), topo_(config.topo_seed) {
-  auto srv = std::make_unique<SimHost>(cfg_.host, HostRole::kSender,
-                                       cfg_.base_vci, cfg_.port, "server");
+    : cfg_(config), topo_(kTopoSeed) {
+  auto srv = std::make_unique<SimHost>(cfg_.host, HostRole::kSender, kBaseVci,
+                                       kPort, "server");
   SimHost* server = srv.get();
   server_node_ = topo_.AddHost(std::move(srv));
   for (std::size_t i = 0; i < cfg_.clients; ++i) {
-    const std::uint32_t vci = cfg_.base_vci + static_cast<std::uint32_t>(i);
+    const std::uint32_t vci = kBaseVci + static_cast<std::uint32_t>(i);
     auto cl = std::make_unique<SimHost>(cfg_.host, HostRole::kReceiver, vci,
-                                        cfg_.port, "client" + std::to_string(i));
+                                        kPort, "client" + std::to_string(i));
     SimHost* raw = cl.get();
     const NodeId n = topo_.AddHost(std::move(cl));
     const LinkId link =
         topo_.AddLink(server_node_, n, &raw->machine.costs(),
-                      "wire/" + std::to_string(i), cfg_.client_link_mbps);
+                      "wire/" + std::to_string(i), kClientLinkMbps);
     client_legs_.push_back(Leg{server_node_, n, vci, {Hop{link, kNoNode}}});
   }
 
@@ -49,7 +55,7 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
   request_path_ = server->fsys.paths().Register(req_hops);
 
   if (cfg_.attach_pressure) {
-    pressure_ = std::make_unique<PressureManager>(&server->fsys, cfg_.pressure);
+    pressure_ = std::make_unique<PressureManager>(&server->fsys);
     pressure_->AttachEventLoop(&loop_);
     pressure_->AttachFileCache(cache_.get());
     // Degraded staging path: the app domain down to the kernel, the same
@@ -155,7 +161,6 @@ void ServeWorld::Issue(const ServeRequestSpec& spec) {
   Pending p;
   p.spec = spec;
   p.issue_at = loop_.Now();
-  p.backoff.policy = cfg_.backoff;
   p.backoff.stall_horizon = cfg_.stall_horizon;
   p.backoff.last_progress = loop_.Now();
   if (latency_enabled_) {
@@ -344,7 +349,7 @@ void ServeWorld::DeliverPduEvent(std::uint64_t id,
     lat_.dispatch.push_back(before - rx_dma_done);
   }
   const std::uint64_t sink_before = rx.sink->bytes_received();
-  const Status st = rx.driver->DeliverPdu(payload, cfg_.base_vci + p.spec.client,
+  const Status st = rx.driver->DeliverPdu(payload, kBaseVci + p.spec.client,
                                           rx.config.volatile_fbufs);
   if (!Ok(st)) {
     if (IsBackpressure(st)) {

@@ -41,17 +41,11 @@ struct ServeWorldConfig {
   std::size_t clients = 4;
   SimHostConfig host;  // stack shape shared by server and clients
   FileCacheConfig cache;
-  double client_link_mbps = 155.0;  // per-client access link (TAXI rate)
-  std::uint32_t base_vci = 40;      // client i listens on base_vci + i
-  std::uint16_t port = 80;
   // Concurrent request window; arrivals beyond it queue FIFO.
   std::uint32_t max_inflight = 64;
   bool use_rings = false;       // batch server-side crossings over rings
   bool attach_pressure = false;  // PressureManager + degraded miss path
-  PressureConfig pressure;
-  BackoffPolicy backoff;
   SimTime stall_horizon = 250 * kMillisecond;
-  std::uint64_t topo_seed = 0x5e44e;
 };
 
 struct ServeRequestSpec {
@@ -98,6 +92,9 @@ class RequestSource : public Protocol {
 
 class ServeWorld {
  public:
+  // Seed of the star topology's link-loss streams.
+  static constexpr std::uint64_t kTopoSeed = 0x5e44e;
+
   explicit ServeWorld(const ServeWorldConfig& config);
 
   ServeWorld(const ServeWorld&) = delete;

@@ -12,9 +12,8 @@
 //                 mapped into the app domain), exercising the paper's cheap
 //                 cross-domain forwarding claim for real.
 //
-// This is Testbed::Host factored out so arbitrary topologies (src/topo/
-// topology.h) can instantiate hosts; the Testbed's two-host null modem is
-// the trivial client.
+// Every host of an arbitrary topology (src/topo/topology.h) is a SimHost;
+// the Testbed's two-host null modem is the trivial client.
 #ifndef SRC_TOPO_SIM_HOST_H_
 #define SRC_TOPO_SIM_HOST_H_
 

@@ -38,16 +38,6 @@ class Testbed {
  public:
   explicit Testbed(const TestbedConfig& config);
 
-  // One host: a complete machine with its protocol stack.
-  using Host = SimHost;
-
-  // Flow/result types now live at namespace scope (src/topo/topo_runner.h);
-  // aliased here for the testbed's historical clients.
-  using FlowTraffic = ::fbufs::FlowTraffic;
-  using FlowResult = ::fbufs::FlowResult;
-  using ResourceUse = ::fbufs::ResourceUse;
-  using MultiResult = ::fbufs::MultiResult;
-
   struct Result {
     double throughput_mbps = 0;
     double sender_cpu_load = 0;
@@ -75,9 +65,9 @@ class Testbed {
     return runner_->RunFlows(traffic);
   }
 
-  Host& sender() { return *topo_.host(sender_nodes_[0]); }
-  Host& sender(std::size_t flow) { return *topo_.host(sender_nodes_[flow]); }
-  Host& receiver() { return *topo_.host(receiver_node_); }
+  SimHost& sender() { return *topo_.host(sender_nodes_[0]); }
+  SimHost& sender(std::size_t flow) { return *topo_.host(sender_nodes_[flow]); }
+  SimHost& receiver() { return *topo_.host(receiver_node_); }
   NullModemLink& link() { return topo_.link(link_).wire_link(); }
   EventLoop& loop() { return loop_; }
   Topology& topology() { return topo_; }

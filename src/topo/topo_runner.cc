@@ -35,21 +35,6 @@ void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
                   });
 }
 
-void TopologyRunner::ParkFlow(std::size_t flow, FlowBackoff& backoff,
-                              const std::string& label, EventLoop::Handler retry) {
-  FlowRun& run = runs_[flow];
-  const auto delay = backoff.Park(loop_->Now());
-  if (!delay.has_value()) {
-    // No progress for the whole horizon: the watchdog gives up so the run
-    // drains and the §3.3 invariants can be audited over what remains.
-    run.stall_failed = true;
-    run.failed = true;
-    return;
-  }
-  run.parks++;
-  loop_->Schedule(Key(loop_->Now() + *delay), label, std::move(retry));
-}
-
 void TopologyRunner::SenderStep(std::size_t flow) {
   FlowRun& run = runs_[flow];
   if (run.failed || run.next >= run.total) {
@@ -79,21 +64,9 @@ void TopologyRunner::SenderStep(std::size_t flow) {
   }
 
   const SimTime tx_before = tx_clock.Now();
-  const Status st = tx.source->SendOne(run.traffic.bytes);
-  if (!Ok(st)) {
-    if (backpressure_on_ && IsBackpressure(st)) {
-      // Pool/quota pressure: park and retry this same message instead of
-      // failing the flow — memory may free up (or the watchdog gives up).
-      ParkFlow(flow, run.tx_backoff,
-               "park/" + std::to_string(flow) + "/" + std::to_string(m),
-               [this, flow] { SenderStep(flow); });
-      return;
-    }
+  if (!Ok(tx.source->SendOne(run.traffic.bytes))) {
     run.failed = true;
     return;
-  }
-  if (backpressure_on_) {
-    run.tx_backoff.Progress(loop_->Now());
   }
   const SimTime tx_after = tx_clock.Now();
   tx.machine.cpu_lane(run.tx_cpu).RecordBusy(tx_before, tx_after);
@@ -165,40 +138,10 @@ void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
     DeliverMulticore(flow, msg, std::move(payload), rx_dma_done);
     return;
   }
-  SimClock& rx_clock = rx.machine.clock();
   // The receiving CPU picks the PDU up no earlier than its DMA completion;
   // it may already be past that point serving another delivery.
-  rx_clock.AdvanceToAtLeast(rx_dma_done);
-
-  const SimTime rx_before = rx_clock.Now();
-  const Status st = rx.driver->DeliverPdu(payload, flows_[flow].legs.back().vci,
-                                          rx.config.volatile_fbufs);
-  if (!Ok(st)) {
-    if (backpressure_on_ && IsBackpressure(st)) {
-      // The receiver could not buffer the PDU (its pool/quota is the
-      // bottleneck): park the delivery and retry with the same payload.
-      ParkFlow(flow, run.rx_backoff,
-               "rxpark/" + std::to_string(flow) + "/" + std::to_string(msg),
-               [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
-                 DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
-               });
-      return;
-    }
-    run.failed = true;
-    return;
-  }
-  if (backpressure_on_) {
-    run.rx_backoff.Progress(loop_->Now());
-  }
-  const SimTime rx_after = rx_clock.Now();
-  rx.cpu.RecordBusy(rx_before, rx_after);
-  run.rx_busy += rx_after - rx_before;
-  run.rx_end = rx_after;
-
-  assert(run.pdus_left[msg] > 0);
-  if (--run.pdus_left[msg] == 0) {
-    CompleteMessage(flow, msg);
-  }
+  rx.machine.clock().AdvanceToAtLeast(rx_dma_done);
+  Deliver(flow, msg, payload, &rx.cpu);
 }
 
 void TopologyRunner::DeliverMulticore(std::size_t flow, std::uint64_t msg,
@@ -213,40 +156,35 @@ void TopologyRunner::DeliverMulticore(std::size_t flow, std::uint64_t msg,
   rx.dispatcher->RunOnCpu(
       run.rx_cpu, rx_dma_done,
       "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-      [this, flow, msg, payload = std::move(payload), rx_dma_done]() mutable {
-        FlowRun& r = runs_[flow];
-        if (r.failed) {
-          return;
-        }
-        SimHost& rxh = RxHost(flow);
-        SimClock& lane_clock = rxh.machine.clock();  // active lane = rx_cpu
-        const SimTime rx_before = lane_clock.Now();
-        const Status st = rxh.driver->DeliverPdu(
-            payload, flows_[flow].legs.back().vci, rxh.config.volatile_fbufs);
-        if (!Ok(st)) {
-          if (backpressure_on_ && IsBackpressure(st)) {
-            ParkFlow(flow, r.rx_backoff,
-                     "rxpark/" + std::to_string(flow) + "/" + std::to_string(msg),
-                     [this, flow, msg, payload = std::move(payload),
-                      rx_dma_done]() mutable {
-                       DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
-                     });
-            return;
-          }
-          r.failed = true;
-          return;
-        }
-        if (backpressure_on_) {
-          r.rx_backoff.Progress(loop_->Now());
-        }
-        const SimTime rx_after = lane_clock.Now();
-        r.rx_busy += rx_after - rx_before;
-        r.rx_end = rx_after;
-        assert(r.pdus_left[msg] > 0);
-        if (--r.pdus_left[msg] == 0) {
-          CompleteMessage(flow, msg);
+      [this, flow, msg, payload = std::move(payload)] {
+        if (!runs_[flow].failed) {
+          Deliver(flow, msg, payload, nullptr);  // active lane = rx_cpu
         }
       });
+}
+
+void TopologyRunner::Deliver(std::size_t flow, std::uint64_t msg,
+                             const std::vector<std::uint8_t>& payload,
+                             Resource* cpu) {
+  FlowRun& run = runs_[flow];
+  SimHost& rx = RxHost(flow);
+  SimClock& clock = rx.machine.clock();
+  const SimTime before = clock.Now();
+  if (!Ok(rx.driver->DeliverPdu(payload, flows_[flow].legs.back().vci,
+                                rx.config.volatile_fbufs))) {
+    run.failed = true;
+    return;
+  }
+  const SimTime after = clock.Now();
+  if (cpu != nullptr) {
+    cpu->RecordBusy(before, after);
+  }
+  run.rx_busy += after - before;
+  run.rx_end = after;
+  assert(run.pdus_left[msg] > 0);
+  if (--run.pdus_left[msg] == 0) {
+    CompleteMessage(flow, msg);
+  }
 }
 
 void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
@@ -406,12 +344,6 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
       run.traffic = traffic[i];
     }
     run.total = run.traffic.warmup + run.traffic.messages;
-    if (backpressure_on_) {
-      run.tx_backoff.policy = bp_policy_;
-      run.tx_backoff.stall_horizon = bp_horizon_;
-      run.tx_backoff.last_progress = loop_->Now();
-      run.rx_backoff = run.tx_backoff;
-    }
     SimHost& tx = TxHost(i);
     SimHost& rxh = RxHost(i);
     // RSS steering: the flow's first-leg VCI picks its send lane, the last
@@ -454,8 +386,6 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
     fr.failed = run.failed;
     fr.completed_messages = run.completed;
     fr.stalled = !run.failed && run.total > 0 && run.completed < run.total;
-    fr.backpressure_parks = run.parks;
-    fr.stall_failed = run.stall_failed;
     mr.failed = mr.failed || run.failed;
     if (run.total == 0 || run.failed) {
       continue;

@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "src/pressure/backoff.h"
 #include "src/sim/event_loop.h"
 #include "src/topo/topology.h"
 
@@ -53,11 +52,6 @@ struct FlowResult {
   // supposed to make impossible even under loss.
   std::uint64_t completed_messages = 0;
   bool stalled = false;
-  // Backpressure accounting (SetBackpressure): times the flow parked on a
-  // backoff timer, and whether the stall watchdog failed it for making no
-  // progress inside the horizon.
-  std::uint64_t backpressure_parks = 0;
-  bool stall_failed = false;
 };
 
 struct ResourceUse {
@@ -84,19 +78,6 @@ class TopologyRunner {
   // Returns the flow index.
   std::size_t AddFlow(std::vector<Leg> legs, SinkProtocol* sink,
                       std::uint32_t window);
-
-  // Enables backpressure handling: a send or delivery failing with a
-  // backpressure status (pool exhausted, quota, no region space) parks the
-  // flow on a backoff timer and retries, instead of failing the run. A flow
-  // making no progress for |stall_horizon| of loop time is failed by the
-  // watchdog (FlowResult::stall_failed). Hard errors still fail immediately.
-  // The happy path schedules no extra events, so runs that never hit
-  // pressure dispatch identically with or without this.
-  void SetBackpressure(const BackoffPolicy& policy, SimTime stall_horizon) {
-    backpressure_on_ = true;
-    bp_policy_ = policy;
-    bp_horizon_ = stall_horizon;
-  }
 
   // Schedules traffic[i] on flow i (entries beyond the flow count are
   // ignored; zero-message entries leave a flow idle), runs the event loop to
@@ -135,12 +116,6 @@ class TopologyRunner {
     std::uint32_t tx_cpu = 0;
     std::uint32_t rx_cpu = 0;
     bool failed = false;
-    // Backpressure: one backoff per end of the flow (the sender parks on
-    // allocation failures, the receiver on delivery failures).
-    FlowBackoff tx_backoff;
-    FlowBackoff rx_backoff;
-    std::uint64_t parks = 0;
-    bool stall_failed = false;
   };
 
   SimHost& TxHost(std::size_t flow) { return *topo_->host(flows_[flow].legs.front().tx); }
@@ -149,11 +124,6 @@ class TopologyRunner {
   SimTime Key(SimTime t) const;
   void ScheduleSenderStep(std::size_t flow);
   void SenderStep(std::size_t flow);
-  // Parks one end of |flow| on its backoff timer after a backpressure
-  // failure; |retry| re-runs the failed step. Fails the flow when the stall
-  // watchdog's horizon is exhausted.
-  void ParkFlow(std::size_t flow, FlowBackoff& backoff, const std::string& label,
-                EventLoop::Handler retry);
   // Pipes one staged PDU through leg |leg| of |flow|; schedules its arrival
   // event (deliver on the last leg, relay otherwise) or records the drop.
   void RunLeg(std::size_t flow, std::size_t leg, std::uint64_t msg,
@@ -165,6 +135,12 @@ class TopologyRunner {
   // flows sharing the lane is measured by the dispatch queue.
   void DeliverMulticore(std::size_t flow, std::uint64_t msg,
                         std::vector<std::uint8_t> payload, SimTime rx_dma_done);
+  // Hands one PDU to the receiver's driver on the active CPU lane, adds the
+  // lane time to the flow's receive accounting (and to |cpu|, when given: a
+  // dispatcher lane books its own), and completes the message on its last
+  // PDU. A failed delivery fails the flow.
+  void Deliver(std::size_t flow, std::uint64_t msg,
+               const std::vector<std::uint8_t>& payload, Resource* cpu);
   void RelayEvent(std::size_t flow, std::size_t leg, std::uint64_t msg,
                   std::vector<std::uint8_t> payload, SimTime rx_dma_done);
   void PduDropped(std::size_t flow, std::uint64_t msg);
@@ -175,9 +151,6 @@ class TopologyRunner {
   std::vector<Flow> flows_;
   std::vector<FlowRun> runs_;       // live during RunFlows
   std::vector<bool> step_pending_;  // one sender-step event in flight per flow
-  bool backpressure_on_ = false;
-  BackoffPolicy bp_policy_;
-  SimTime bp_horizon_ = 0;
 };
 
 }  // namespace fbufs

@@ -207,13 +207,13 @@ TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
 
   constexpr std::uint64_t kMessages = 8;
   constexpr std::uint64_t kBytes = 64 * 1024;
-  std::vector<Testbed::FlowTraffic> traffic(3);
+  std::vector<FlowTraffic> traffic(3);
   for (auto& t : traffic) {
     t.messages = kMessages;
     t.bytes = kBytes;
     t.warmup = 2;
   }
-  const Testbed::MultiResult mr = tb.RunFlows(traffic);
+  const MultiResult mr = tb.RunFlows(traffic);
   ASSERT_FALSE(mr.failed);
 
   double sum_mbps = 0;
@@ -247,14 +247,14 @@ TEST(MultiFlow, ThreeVcisDeliverEverythingDeterministically) {
 
 TEST(MultiFlow, SameSeedRunsAreByteIdentical) {
   auto run = [](std::vector<EventLoop::TraceEntry>* trace, std::uint64_t* hash,
-                std::string* stats, Testbed::MultiResult* mr) {
+                std::string* stats, MultiResult* mr) {
     TestbedConfig cfg;
     cfg.placement = StackPlacement::kUserKernel;
     Testbed tb(cfg);
     tb.AddFlow(43, 2001);
     tb.AddFlow(44, 2002);
     tb.loop().set_record_trace(true);
-    std::vector<Testbed::FlowTraffic> traffic(3);
+    std::vector<FlowTraffic> traffic(3);
     for (std::size_t i = 0; i < 3; ++i) {
       traffic[i].messages = 6;
       traffic[i].bytes = (i + 1) * 16 * 1024;  // asymmetric load
@@ -269,7 +269,7 @@ TEST(MultiFlow, SameSeedRunsAreByteIdentical) {
   std::vector<EventLoop::TraceEntry> trace_a, trace_b;
   std::uint64_t hash_a = 0, hash_b = 0;
   std::string stats_a, stats_b;
-  Testbed::MultiResult mr_a, mr_b;
+  MultiResult mr_a, mr_b;
   run(&trace_a, &hash_a, &stats_a, &mr_a);
   run(&trace_b, &hash_b, &stats_b, &mr_b);
 

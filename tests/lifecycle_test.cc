@@ -210,7 +210,7 @@ TEST(Lifecycle, CongestionCollapseVictimJourneysEndInAborts) {
       EXPECT_EQ(w.flow(i).ledger->pinned_pdus(), 0u) << "victim ledger";
       continue;
     }
-    EXPECT_EQ(w.flow(i).accepted, messages) << "flow " << i;
+    EXPECT_EQ(w.flow(i).producer->accepted(), messages) << "flow " << i;
   }
 
   const auto rec = tracker.Reconcile();

@@ -63,7 +63,7 @@ class MultiFlowTest : public ::testing::Test {
   }
 
   std::unique_ptr<Testbed> tb_;
-  Testbed::Host* rx_ = nullptr;
+  SimHost* rx_ = nullptr;
   Domain* app2_ = nullptr;
   std::unique_ptr<SinkProtocol> sink2_;
   PathId path2_ = kNoPath;

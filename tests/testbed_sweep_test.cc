@@ -37,7 +37,7 @@ TEST_P(TestbedSweep, DeliversEverythingAndStaysSane) {
   EXPECT_LE(r.sender_cpu_load, 1.0 + 1e-9);
   EXPECT_EQ(tb.receiver().ip->reassembly_backlog(), 0u);
   // No stranded references on either host.
-  for (Testbed::Host* h : {&tb.sender(), &tb.receiver()}) {
+  for (SimHost* h : {&tb.sender(), &tb.receiver()}) {
     for (FbufId id = 0;; ++id) {
       Fbuf* fb = h->fsys.Get(id);
       if (fb == nullptr) {
