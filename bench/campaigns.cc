@@ -75,12 +75,12 @@ SimTime At(std::uint64_t ms) { return ms * kMillisecond / g_scale; }
 // Report seed of the SWP-world campaigns: both loss streams' seeds folded.
 constexpr std::uint64_t kSwpSeed = SwpWorld::kFwdSeed ^ SwpWorld::kRevSeed;
 
-void AuditAllHosts(CampaignRunner* cr, BuiltTopology* b) {
-  for (NodeId n = 0; n < b->topo->node_count(); ++n) {
-    if (b->topo->is_switch(n)) {
+void AuditAllHosts(CampaignRunner* cr, Topology& topo) {
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    if (topo.is_switch(n)) {
       continue;
     }
-    SimHost* h = b->topo->host(n);
+    SimHost* h = topo.host(n);
     cr->AddAuditedHost(h->machine.name(), &h->machine, &h->fsys);
   }
 }
@@ -137,14 +137,10 @@ class JourneyAudit {
     m->AttachLifecycle(entries_.back().tracker.get());
   }
 
-  void AttachTopology(BuiltTopology* b) {
-    for (NodeId n = 0; n < b->topo->node_count(); ++n) {
-      if (b->topo->is_switch(n)) {
-        continue;
-      }
-      SimHost* h = b->topo->host(n);
-      if (h != nullptr) {
-        Attach(&h->machine);
+  void AttachTopology(Topology& topo) {
+    for (NodeId n = 0; n < topo.node_count(); ++n) {
+      if (!topo.is_switch(n)) {
+        Attach(&topo.host(n)->machine);
       }
     }
   }
@@ -229,23 +225,21 @@ void ArmHostTrace(Machine& m) {
   m.trace().EnableAll();
 }
 
-void ArmTopologyCapture(BuiltTopology* b) {
-  for (NodeId n = 0; n < b->topo->node_count(); ++n) {
-    if (b->topo->is_switch(n)) {
-      SwitchNode* sw = b->topo->switch_at(n);
+void ArmTopologyCapture(Topology& topo) {
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    if (topo.is_switch(n)) {
+      SwitchNode* sw = topo.switch_at(n);
       for (std::size_t p = 0; p < sw->port_count(); ++p) {
         sw->port_resource(p).set_record_intervals(true);
       }
       continue;
     }
-    SimHost* h = b->topo->host(n);
-    if (h != nullptr) {
-      ArmHostTrace(h->machine);
-      h->cpu.set_record_intervals(true);
-    }
+    SimHost* h = topo.host(n);
+    ArmHostTrace(h->machine);
+    h->cpu.set_record_intervals(true);
   }
-  for (LinkId l = 0; l < b->topo->link_count(); ++l) {
-    b->topo->link(l).wire().set_record_intervals(true);
+  for (LinkId l = 0; l < topo.link_count(); ++l) {
+    topo.link(l).wire().set_record_intervals(true);
   }
 }
 
@@ -257,29 +251,26 @@ void WriteTrace(const std::string& name, const TraceExporter& ex) {
   }
 }
 
-void ExportTopologyTrace(const std::string& name, BuiltTopology* b) {
+void ExportTopologyTrace(const std::string& name, Topology& topo) {
   TraceExporter ex;
   std::uint32_t pid = 1;
-  for (NodeId n = 0; n < b->topo->node_count(); ++n) {
-    if (b->topo->is_switch(n)) {
-      continue;
-    }
-    SimHost* h = b->topo->host(n);
-    if (h != nullptr) {
-      ex.AddHost(h->machine.name(), pid++, h->machine.trace());
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    if (!topo.is_switch(n)) {
+      ex.AddHost(topo.host(n)->machine.name(), pid++,
+                 topo.host(n)->machine.trace());
     }
   }
-  for (NodeId n = 0; n < b->topo->node_count(); ++n) {
-    if (!b->topo->is_switch(n)) {
+  for (NodeId n = 0; n < topo.node_count(); ++n) {
+    if (!topo.is_switch(n)) {
       continue;
     }
-    SwitchNode* sw = b->topo->switch_at(n);
+    SwitchNode* sw = topo.switch_at(n);
     for (std::size_t p = 0; p < sw->port_count(); ++p) {
       ex.AddResource(sw->port_resource(p));
     }
   }
-  for (LinkId l = 0; l < b->topo->link_count(); ++l) {
-    ex.AddResource(b->topo->link(l).wire());
+  for (LinkId l = 0; l < topo.link_count(); ++l) {
+    ex.AddResource(topo.link(l).wire());
   }
   WriteTrace(name, ex);
 }
@@ -299,13 +290,13 @@ CampaignReport RunLossBurst() {
   cfg.sender_link_mbps = 60.0;
   cfg.switch_port.mbps = 140.0;
   BuiltTopology b = BuildTopology(cfg);
-  ArmTopologyCapture(&b);
+  ArmTopologyCapture(*b.topo);
   JourneyAudit ja;
-  ja.AttachTopology(&b);
+  ja.AttachTopology(*b.topo);
 
-  CampaignRunner cr("loss_burst", cfg.seed, b.loop.get());
+  CampaignRunner cr("loss_burst", Topology::kDefaultSeed, b.loop.get());
   cr.AttachTopology(b.topo.get(), b.runner.get());
-  AuditAllHosts(&cr, &b);
+  AuditAllHosts(&cr, *b.topo);
 
   FaultSchedule s;
   s.name = "loss_burst";
@@ -347,7 +338,7 @@ CampaignReport RunLossBurst() {
                               ? "all flows drained despite burst+flap+squeeze"
                               : "a flow failed or wedged");
   CampaignReport rep = cr.Finish();
-  ExportTopologyTrace("loss_burst", &b);
+  ExportTopologyTrace("loss_burst", *b.topo);
   return rep;
 }
 
@@ -459,13 +450,14 @@ CampaignReport RunTerminateOriginator() {
   cfg.shape = TopologyShape::kRelayChain;
   cfg.relays = 1;
   BuiltTopology b = BuildTopology(cfg);
-  ArmTopologyCapture(&b);
+  ArmTopologyCapture(*b.topo);
   JourneyAudit ja;
-  ja.AttachTopology(&b);
+  ja.AttachTopology(*b.topo);
 
-  CampaignRunner cr("terminate_originator", cfg.seed, b.loop.get());
+  CampaignRunner cr("terminate_originator", Topology::kDefaultSeed,
+                    b.loop.get());
   cr.AttachTopology(b.topo.get(), b.runner.get());
-  AuditAllHosts(&cr, &b);
+  AuditAllHosts(&cr, *b.topo);
 
   // The sender host's "app" domain runs the SourceProtocol — it is the
   // originator of every data fbuf in flight across the chain.
@@ -506,7 +498,7 @@ CampaignReport RunTerminateOriginator() {
                "delivered before the fault survived"
              : "expected a clean failure with surviving receiver data");
   CampaignReport rep = cr.Finish();
-  ExportTopologyTrace("terminate_originator", &b);
+  ExportTopologyTrace("terminate_originator", *b.topo);
   return rep;
 }
 
@@ -591,21 +583,13 @@ CampaignReport RunServerChurn() {
   ArmHostTrace(world.server().machine);
   ArmHostTrace(world.client(0).machine);
   JourneyAudit ja;
-  ja.Attach(&world.server().machine);
-  for (std::size_t c = 0; c < world.client_count(); ++c) {
-    ja.Attach(&world.client(c).machine);
-  }
+  ja.AttachTopology(world.topo());
 
   CampaignRunner cr("server_churn", ServeWorld::kTopoSeed, &world.loop());
   // No TopologyRunner here — ServeWorld drives its own wire — so phase rows
   // carry audits and fault markers, not flow goodput.
   cr.AttachTopology(&world.topo(), nullptr);
-  cr.AddAuditedHost(world.server().machine.name(), &world.server().machine,
-                    &world.server().fsys);
-  for (std::size_t c = 0; c < world.client_count(); ++c) {
-    cr.AddAuditedHost(world.client(c).machine.name(), &world.client(c).machine,
-                      &world.client(c).fsys);
-  }
+  AuditAllHosts(&cr, world.topo());
 
   FaultSchedule s;
   s.name = "server_churn";

@@ -4,19 +4,17 @@
 // zero copies regardless of loss. This bench reports goodput degradation
 // and the retransmission amplification as the channel worsens.
 //
-// Retransmission is driven by the discrete-event engine: every transmit
-// arms a real 2 ms retransmission timeout on the EventLoop, and a producer
-// event keeps the window full. Quiescence of the loop is the end of the
-// experiment.
+// Each sweep point builds one SwpWorld (src/fault/swp_world.h): SWP over
+// two lossy channels on one machine. Retransmission is driven by the
+// discrete-event engine: every transmit arms a real 2 ms retransmission
+// timeout on the EventLoop, and a producer event keeps the window full.
+// Quiescence of the loop is the end of the experiment.
 #include <cstdio>
 #include <functional>
-#include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
-#include "src/proto/swp.h"
-#include "src/proto/test_protocols.h"
-#include "src/sim/event_loop.h"
-#include "src/vm/machine.h"
+#include "src/fault/swp_world.h"
 
 namespace fbufs {
 namespace bench {
@@ -33,75 +31,57 @@ struct RunResult {
 
 RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
               std::string* metrics_json = nullptr) {
-  Machine machine{MachineConfig{}};
-  FbufSystem fsys(&machine);
-  Rpc rpc(&machine);
-  fsys.AttachRpc(&rpc);
-  ProtocolStack stack(&machine, &fsys, &rpc);
-  stack.set_domain_count(2);
-  Domain* sd = machine.CreateDomain("sender");
-  Domain* rd = machine.CreateDomain("receiver");
-  const PathId tx_hdr = fsys.paths().Register({sd->id(), rd->id()});
-  const PathId rx_hdr = fsys.paths().Register({rd->id(), sd->id()});
-  const PathId data = fsys.paths().Register({sd->id(), rd->id()});
-  SwpProtocol sender(sd, &stack, tx_hdr, 8);
-  SwpProtocol receiver(rd, &stack, rx_hdr, 8);
-  LossyChannel fwd(sd, &stack, 11, drop_percent);
-  LossyChannel rev(rd, &stack, 13, drop_percent);
-  SinkProtocol sink(rd, &stack);
-  sender.set_below(&fwd);
-  fwd.set_peer_above(&receiver);
-  receiver.set_below(&rev);
-  rev.set_peer_above(&sender);
-  receiver.set_above(&sink);
-
-  EventLoop loop;
-  sender.AttachTimer(&loop, kRto);
-  fsys.AttachEventLoop(&loop);
+  SwpWorldConfig cfg;
+  cfg.rto = kRto;
+  cfg.fwd_loss = drop_percent;
+  cfg.rev_loss = drop_percent;
+  SwpWorld w(cfg);
   MetricsRegistry metrics;
-  machine.AttachMetrics(&metrics);
+  w.machine.AttachMetrics(&metrics);
 
   constexpr int kMessages = 64;
   constexpr std::uint64_t kBytes = 32 * 1024;
-  const SimTime t0 = machine.clock().Now();
+  const SimTime t0 = w.machine.clock().Now();
   int accepted = 0;
 
   // The producer keeps the window full: push until kExhausted, then retry
   // one RTO later (by which time the retransmission timer has fired and any
-  // surviving acks have opened the window).
+  // surviving acks have opened the window). It is not SwpWorld's
+  // FlowDriver, whose park doubles after every refusal: this sweep's rows
+  // are measured under a fixed one-RTO retry.
   std::function<void()> produce = [&] {
     while (accepted < kMessages) {
       Fbuf* fb = nullptr;
-      if (!Ok(fsys.Allocate(*sd, data, kBytes, true, &fb))) {
+      if (!Ok(w.fsys.Allocate(*w.sender_domain, w.data, kBytes, true, &fb))) {
         return;
       }
-      sd->TouchRange(fb->base, kBytes, Access::kWrite);
-      const Status st = sender.Push(Message::Whole(fb));
-      fsys.Free(fb, *sd);
+      w.sender_domain->TouchRange(fb->base, kBytes, Access::kWrite);
+      const Status st = w.sender.Push(Message::Whole(fb));
+      w.fsys.Free(fb, *w.sender_domain);
       if (st == Status::kOk) {
         accepted++;
       } else {
-        loop.Schedule(std::max(loop.Now(), machine.clock().Now() + kRto),
-                      "swp-produce", produce);
+        w.loop.ScheduleAtLeast(w.machine.clock().Now() + kRto, "swp-produce",
+                               produce);
         return;
       }
     }
   };
-  loop.Schedule(loop.Now(), "swp-produce", produce);
+  w.loop.Schedule(w.loop.Now(), "swp-produce", produce);
   // Quiescence: producer done, every frame acknowledged, timer gone quiet.
-  loop.Run();
+  w.loop.Run();
 
-  const double seconds = (machine.clock().Now() - t0) / 1e9;
+  const double seconds = (w.machine.clock().Now() - t0) / 1e9;
   if (attr_json != nullptr) {
-    *attr_json = TimeAttributionJson(machine);
+    *attr_json = TimeAttributionJson(w.machine);
   }
   if (metrics_json != nullptr) {
     *metrics_json = metrics.ToJson();
   }
-  machine.AttachMetrics(nullptr);
-  return RunResult{sink.bytes_received() * 8.0 / seconds / 1e6,
-                   static_cast<double>(sender.retransmissions()) / kMessages,
-                   sender.timer_fires(), machine.stats().bytes_copied};
+  w.machine.AttachMetrics(nullptr);
+  return RunResult{w.sink.bytes_received() * 8.0 / seconds / 1e6,
+                   static_cast<double>(w.sender.retransmissions()) / kMessages,
+                   w.sender.timer_fires(), w.machine.stats().bytes_copied};
 }
 
 int Main() {

@@ -79,11 +79,7 @@ void CampaignRunner::TakeSample(const std::string& label) {
     for (LinkId l = 0; l < topo_->link_count(); ++l) {
       s.drops += topo_->link(l).drops();
     }
-    for (NodeId n = 0; n < topo_->node_count(); ++n) {
-      if (topo_->is_switch(n)) {
-        s.drops += topo_->switch_at(n)->drops_total();
-      }
-    }
+    s.drops += topo_->switch_drops();
   }
   if (swp_sink_ != nullptr) {
     s.delivered += swp_sink_->bytes_received();

@@ -1,7 +1,5 @@
 #include "src/fault/incast_world.h"
 
-#include <algorithm>
-
 namespace fbufs {
 
 namespace {
@@ -119,7 +117,7 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
 
   for (std::uint32_t i = 0; i < flows; ++i) {
     auto f = std::make_unique<Flow>();
-    f->rack = i / cfg.senders_per_rack;
+    const NodeId tor = tor_nodes_[i / cfg.senders_per_rack];
     f->vci = 100 + i;
     Domain* sd = machine.CreateDomain("sender" + std::to_string(i));
     f->sender_domain = sd;
@@ -134,10 +132,10 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
     f->rev = std::make_unique<AckChannel>(this, i, receiver_domain);
     // The ingress wire has no host node (the sender "NIC" is the link
     // itself); both endpoints record the rack's ToR for the fault scripts.
-    f->ingress = topo.AddLink(tor_nodes_[f->rack], tor_nodes_[f->rack],
-                              &machine.costs(), "ingress/" + std::to_string(i),
-                              kUplinkMbps);
-    topo.switch_at(tor_nodes_[f->rack])->Route(f->vci, 0);
+    f->ingress = topo.AddLink(tor, tor, &machine.costs(),
+                              "ingress/" + std::to_string(i), kUplinkMbps);
+    f->hops = {Hop{f->ingress, tor}, Hop{kNoLink, core_node_}};
+    topo.switch_at(tor)->Route(f->vci, 0);
     topo.switch_at(core_node_)->Route(f->vci, 0);
 
     f->sender->set_below(f->fwd.get());
@@ -165,40 +163,24 @@ IncastWorld::IncastWorld(const IncastWorldConfig& cfg)
 }
 
 Status IncastWorld::FabricChannel::Push(Message m) {
-  Flow& f = world_->flow(flow_);
-  const std::uint64_t bytes = m.length();
-  Machine& mach = *stack_->machine();
+  const Flow& f = world_->flow(flow_);
   // Serialize onto the sender's own wire, then queue through both switch
   // tiers analytically. A drop at any stage eats the frame (counted at the
   // dropping element); the bits upstream of the drop were still spent.
-  const TopoLink::Outcome w =
-      world_->topo.link(f.ingress).Transmit(bytes, mach.clock().Now());
-  if (w.dropped) {
-    wire_drops_++;
+  const Topology::Outcome out = world_->topo.Traverse(
+      f.vci, f.hops, m.length(), stack_->machine()->clock().Now());
+  if (out.dropped) {
     return Status::kOk;
   }
-  const SwitchNode::Outcome t1 =
-      world_->topo.switch_at(world_->tor_node(f.rack))
-          ->Forward(f.vci, bytes, w.arrival);
-  if (t1.dropped) {
-    return Status::kOk;
-  }
-  const SwitchNode::Outcome t2 =
-      world_->topo.switch_at(world_->core_node())->Forward(f.vci, bytes, t1.done);
-  if (t2.dropped) {
-    return Status::kOk;
-  }
-  const bool marked = t1.ecn_marked || t2.ecn_marked;
   // Hold references across the flight; the delivery event drops them.
   Status st = stack_->RetainMessage(m, *domain());
   if (!Ok(st)) {
     return st;
   }
-  forwarded_++;
-  const SimTime arrival = t2.done;
-  world_->loop.Schedule(
-      std::max(world_->loop.Now(), arrival), "incast-deliver",
-      [this, m, arrival, marked] {
+  const SimTime arrival = out.done;
+  world_->loop.ScheduleAtLeast(
+      arrival, "incast-deliver",
+      [this, m, arrival, marked = out.ecn_marked] {
         if (!domain()->alive()) {
           // The sender died mid-flight: §3.3 cleanup already dropped the
           // references this channel held, so the frame simply never lands.
@@ -238,8 +220,8 @@ Status IncastWorld::AckChannel::Push(Message m) {
   }
   Machine& mach = *stack_->machine();
   const SimTime arrival = mach.clock().Now() + kAckDelay;
-  world_->loop.Schedule(
-      std::max(world_->loop.Now(), arrival), "incast-ack",
+  world_->loop.ScheduleAtLeast(
+      arrival, "incast-ack",
       [this, m, arrival] {
         stack_->machine()->clock().AdvanceToAtLeast(arrival);
         Flow& fl = world_->flow(flow_);
@@ -296,24 +278,6 @@ std::uint64_t IncastWorld::total_parks() const {
   for (const auto& f : flows_) {
     n += f->producer->parks();
   }
-  return n;
-}
-
-std::uint64_t IncastWorld::switch_drops() {
-  std::uint64_t n = 0;
-  for (std::size_t r = 0; r < tor_nodes_.size(); ++r) {
-    n += topo.switch_at(tor_nodes_[r])->drops_total();
-  }
-  n += topo.switch_at(core_node_)->drops_total();
-  return n;
-}
-
-std::uint64_t IncastWorld::ecn_marks() {
-  std::uint64_t n = 0;
-  for (std::size_t r = 0; r < tor_nodes_.size(); ++r) {
-    n += topo.switch_at(tor_nodes_[r])->ecn_marks_total();
-  }
-  n += topo.switch_at(core_node_)->ecn_marks_total();
   return n;
 }
 

@@ -3,10 +3,12 @@
 // the congestion_collapse fault campaign.
 //
 // R racks × S senders each run one conversation (a sender Transport, a
-// receiver Transport, a sink) over a shared fabric: each sender's frames
-// serialize onto its own ingress wire (a TopoLink — campaign loss faults
-// address it), queue through the rack's ToR switch uplink, then through the
-// core switch's downlink to the receiver — the classic incast bottleneck.
+// receiver Transport, a sink) over a shared fabric held entirely in |topo|:
+// each flow's route is two hops that Topology::Traverse walks — its own
+// ingress wire (a TopoLink — campaign loss faults address it) into the
+// rack's ToR uplink queue, then, with no wire between them (kNoLink), the
+// core switch's downlink queue to the receiver — the classic incast
+// bottleneck.
 // Switch queues are bounded in PDUs; past the saturation knee they drop, and
 // with ECN enabled they mark per-VCI queue standing above the threshold
 // (Transport::MarkCongestionExperienced carries the mark out-of-band,
@@ -72,11 +74,11 @@ class IncastWorld {
   IncastWorld(const IncastWorld&) = delete;
   IncastWorld& operator=(const IncastWorld&) = delete;
 
-  // The one-way data fabric below one sender transport: ingress wire → ToR
-  // uplink queue → core downlink queue, then an evented delivery to the
-  // receiver transport (with the ECN mark, when a switch raised one).
-  // Drops anywhere on the path eat the frame silently — recovering it is
-  // the transport's job.
+  // The one-way data fabric below one sender transport: Topology::Traverse
+  // over the flow's hops, then an evented delivery to the receiver
+  // transport (with the ECN mark, when a switch raised one). Drops anywhere
+  // on the path eat the frame silently — recovering it is the transport's
+  // job.
   class FabricChannel : public Protocol {
    public:
     FabricChannel(IncastWorld* world, std::size_t flow, Domain* domain)
@@ -88,14 +90,9 @@ class IncastWorld {
     Status Pop(Message) override { return Status::kInvalidArgument; }
     bool touches_body() const override { return false; }
 
-    std::uint64_t wire_drops() const { return wire_drops_; }
-    std::uint64_t forwarded() const { return forwarded_; }
-
    private:
     IncastWorld* world_;
     std::size_t flow_;
-    std::uint64_t wire_drops_ = 0;
-    std::uint64_t forwarded_ = 0;
   };
 
   // The uncontended reverse path: delivers each ack to the peer sender a
@@ -117,9 +114,10 @@ class IncastWorld {
   };
 
   struct Flow {
-    std::size_t rack = 0;
     std::uint32_t vci = 0;
     LinkId ingress = 0;
+    // The data route: {Hop{ingress, ToR}, Hop{kNoLink, core}}.
+    std::vector<Hop> hops;
     Domain* sender_domain = nullptr;
     PathId tx_hdr = 0;
     PathId rx_hdr = 0;
@@ -166,8 +164,8 @@ class IncastWorld {
   std::uint64_t total_retransmissions() const;
   std::uint64_t total_accepted() const;
   std::uint64_t total_parks() const;
-  std::uint64_t switch_drops();
-  std::uint64_t ecn_marks();
+  std::uint64_t switch_drops() const { return topo.switch_drops(); }
+  std::uint64_t ecn_marks() const { return topo.ecn_marks(); }
   bool any_producer_stalled() const;
   bool any_producer_failed() const;
 

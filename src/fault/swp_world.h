@@ -5,8 +5,8 @@
 // LossyChannels (independent SplitMix64 streams for the data and ack
 // directions — that independence is what makes kAckPathOnlyLoss a precise
 // instrument), a sink, and the FlowDriver that keeps the window full on the
-// event loop. This is the swp_goodput bench's world, factored out so the
-// campaigns and tests build the identical conversation.
+// event loop. The swp_goodput bench, the campaigns and the tests all build
+// this one conversation (the bench with its own fixed-RTO producer).
 #ifndef SRC_FAULT_SWP_WORLD_H_
 #define SRC_FAULT_SWP_WORLD_H_
 

@@ -73,11 +73,6 @@ Status FbufSystem::GrowAllocator(Allocator& a, std::uint64_t pages) {
   if (a.chunks + chunks_needed > config_.chunk_quota) {
     return Status::kQuotaExceeded;
   }
-  // Per-path page quota: a cached path's allocator may not grow past it.
-  if (config_.path_page_quota > 0 && a.cached &&
-      (a.chunks + chunks_needed) * config_.chunk_pages > config_.path_page_quota) {
-    return Status::kQuotaExceeded;
-  }
   const std::uint64_t grant_pages = chunks_needed * config_.chunk_pages;
   auto base = region_va_.Allocate(grant_pages);
   if (!base.has_value()) {
@@ -257,15 +252,15 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
 
 void FbufSystem::SetDomainQuota(DomainId d, std::uint64_t pages) {
   if (pages == 0) {
-    quota_overrides_.erase(d);
+    domain_quotas_.erase(d);
   } else {
-    quota_overrides_[d] = pages;
+    domain_quotas_[d] = pages;
   }
 }
 
 std::uint64_t FbufSystem::DomainQuotaFor(DomainId d) const {
-  const auto it = quota_overrides_.find(d);
-  return it != quota_overrides_.end() ? it->second : config_.domain_page_quota;
+  const auto it = domain_quotas_.find(d);
+  return it != domain_quotas_.end() ? it->second : 0;
 }
 
 std::uint64_t FbufSystem::DomainPagesInUse(DomainId d) const {
@@ -579,11 +574,11 @@ void FbufSystem::ScheduleFlush(DomainId holder, DomainId owner) {
   if (!flush_scheduled_.insert({holder, owner}).second) {
     return;  // a flush event for this pair is already in flight
   }
-  const SimTime key = std::max(loop_->Now(), machine_->clock().Now());
-  loop_->Schedule(key, "fbuf-dealloc-flush", [this, holder, owner] {
-    flush_scheduled_.erase({holder, owner});
-    FlushNotices(holder, owner);
-  });
+  loop_->ScheduleAtLeast(machine_->clock().Now(), "fbuf-dealloc-flush",
+                         [this, holder, owner] {
+                           flush_scheduled_.erase({holder, owner});
+                           FlushNotices(holder, owner);
+                         });
 }
 
 void FbufSystem::FlushNotices(DomainId holder, DomainId owner) {

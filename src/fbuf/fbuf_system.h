@@ -55,15 +55,6 @@ struct FbufConfig {
   // Free lists are LIFO (§3.3: the front of the list is most likely to
   // still have physical memory). Set false for the FIFO ablation.
   bool lifo_free_lists = true;
-  // Default per-domain cap on region pages a domain may own as originator
-  // (live + free-listed fbufs). 0 = unlimited. A domain over its quota may
-  // still reuse its own free-listed fbufs (usage does not grow), and a carve
-  // attempt first shrinks the domain's own free lists before failing.
-  // SetDomainQuota overrides per domain.
-  std::uint64_t domain_page_quota = 0;
-  // Per-path cap on pages a cached path allocator may hold in chunks.
-  // 0 = unlimited. Enforced when the allocator grows.
-  std::uint64_t path_page_quota = 0;
 };
 
 // Installed by the pressure subsystem (src/pressure): OnAllocate runs at the
@@ -127,10 +118,11 @@ class FbufSystem {
   void ApplyRingNotice(DomainId holder, DomainId owner, FbufId id);
 
   // --- Quotas ----------------------------------------------------------------
-  // Overrides the config's per-domain page quota for |d| (0 restores the
-  // config default). Quotas cap growth: carving new pages past the quota
-  // fails with kQuotaExceeded, but reuse of the domain's own free-listed
-  // fbufs is always allowed (usage does not grow).
+  // Caps the region pages |d| may own as originator (live + free-listed
+  // fbufs); 0 removes the cap, and no domain has one until it is set.
+  // Quotas cap growth: a carve past the quota first shrinks the domain's own
+  // free lists, then fails with kQuotaExceeded, but reuse of the domain's
+  // own free-listed fbufs is always allowed (usage does not grow).
   void SetDomainQuota(DomainId d, std::uint64_t pages);
   std::uint64_t DomainQuotaFor(DomainId d) const;
   // Pages currently charged against |d|'s quota (incrementally maintained;
@@ -327,7 +319,7 @@ class FbufSystem {
   EventLoop* loop_ = nullptr;
   PressureHooks* pressure_ = nullptr;
   RingNoticeTransport* notice_transport_ = nullptr;
-  std::map<DomainId, std::uint64_t> quota_overrides_;
+  std::map<DomainId, std::uint64_t> domain_quotas_;
   std::map<DomainId, std::uint64_t> owned_pages_;  // quota charge per domain
   // (holder, owner) pairs with a flush event already in flight.
   std::set<std::pair<DomainId, DomainId>> flush_scheduled_;

@@ -1,7 +1,5 @@
 #include "src/obs/attribution.h"
 
-#include <sstream>
-
 namespace fbufs {
 
 const char* CostDomainName(CostDomain d) {
@@ -99,19 +97,6 @@ Attribution::Snapshot Attribution::Snapshot::Since(const Snapshot& base) const {
     }
   }
   return delta;
-}
-
-std::string Attribution::DebugString() const {
-  std::ostringstream os;
-  os << "total=" << total_ << "ns";
-  for (std::uint8_t i = 0; i < static_cast<std::uint8_t>(CostDomain::kCount); ++i) {
-    const CostDomain d = static_cast<CostDomain>(i);
-    const SimTime ns = ByLayer(d);
-    if (ns > 0) {
-      os << " " << CostDomainName(d) << "=" << ns;
-    }
-  }
-  return os.str();
 }
 
 }  // namespace fbufs

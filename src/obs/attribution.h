@@ -178,9 +178,6 @@ class Attribution {
   };
   Snapshot Take() const { return Snapshot{cells_, total_}; }
 
-  // Deterministic single-line summary (nonzero layers only), for debugging.
-  std::string DebugString() const;
-
  private:
   static constexpr std::size_t kMaxDepth = 16;
 

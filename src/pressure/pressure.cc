@@ -40,15 +40,13 @@ void PressureManager::OnAllocate() {
     return;
   }
   sweep_scheduled_ = true;
-  // Clamp the key, never the value: the machine clock may be ahead of the
-  // loop's dispatch floor.
-  const SimTime key = std::max(loop_->Now(), fsys_->machine().clock().Now());
-  loop_->Schedule(key, "pressure-sweep", [this] {
-    sweep_scheduled_ = false;
-    if (UnderPressure()) {
-      Sweep(config_.high_free_frames);
-    }
-  });
+  loop_->ScheduleAtLeast(fsys_->machine().clock().Now(), "pressure-sweep",
+                         [this] {
+                           sweep_scheduled_ = false;
+                           if (UnderPressure()) {
+                             Sweep(config_.high_free_frames);
+                           }
+                         });
 }
 
 std::uint64_t PressureManager::OnAllocationFailure(std::uint64_t pages_needed) {
@@ -97,7 +95,7 @@ std::uint64_t PressureManager::Sweep(std::uint64_t target_free) {
   // Stage 4 — destroy the free lists of idle cached paths, releasing region
   // space and chunk quota (the most expensive: those paths restart cold).
   if (FreeFrames() < target_free) {
-    fsys_->ShrinkIdlePaths(config_.path_idle_ns);
+    fsys_->ShrinkIdlePaths(kPathIdle);
   }
 
   in_sweep_ = false;
@@ -114,7 +112,7 @@ void PressureManager::PageOutColdPinned(std::uint64_t target_free) {
     if (FreeFrames() >= target_free) {
       return;
     }
-    ledger->ForEachCold(now, config_.pageout_min_age_ns, [&](Fbuf* fb) {
+    ledger->ForEachCold(now, kPageoutMinAge, [&](Fbuf* fb) {
       if (FreeFrames() >= target_free) {
         return;  // target met; later entries stay resident
       }

@@ -48,16 +48,8 @@ struct PressureConfig {
   std::uint64_t high_free_frames = 128;
   // The sweep never shrinks an attached FileCache below this many blocks.
   std::uint64_t cache_floor_blocks = 8;
-  // A cached path allocator that has not served an allocation for this long
-  // counts as idle and loses its free lists in the sweep's last stage.
-  SimTime path_idle_ns = 10 * kMillisecond;
   // Consecutive allocation failures on a path before it degrades to copy.
   std::uint32_t degrade_after_failures = 3;
-  // A retransmit-pinned fbuf this old counts as cold: its retransmission has
-  // already waited at least one RTO-scale horizon, so the sweep's pageout
-  // stage may write it to backing store (the next retransmission faults it
-  // back in at page_in_ns instead of wedging the allocator now).
-  SimTime pageout_min_age_ns = 2 * kMillisecond;
 };
 
 // Whether a path should currently move data zero-copy or via the copy
@@ -66,6 +58,15 @@ enum class PathMode { kZeroCopy, kDegraded };
 
 class PressureManager : public PressureHooks {
  public:
+  // A cached path allocator that has not served an allocation for this long
+  // counts as idle and loses its free lists in the sweep's last stage.
+  static constexpr SimTime kPathIdle = 10 * kMillisecond;
+  // A retransmit-pinned fbuf this old counts as cold: its retransmission has
+  // already waited at least one RTO-scale horizon, so the sweep's pageout
+  // stage may write it to backing store (the next retransmission faults it
+  // back in at page_in_ns instead of wedging the allocator now).
+  static constexpr SimTime kPageoutMinAge = 2 * kMillisecond;
+
   // Installs itself as |fsys|'s pressure hooks; detaches in the destructor.
   PressureManager(FbufSystem* fsys, const PressureConfig& config = PressureConfig());
   ~PressureManager() override;
@@ -80,7 +81,7 @@ class PressureManager : public PressureHooks {
   void AttachFileCache(FileCache* cache) { cache_ = cache; }
 
   // Registers a transport's pinned-retransmit ledger. The sweep gains a
-  // pageout stage: cold pinned fbufs (pinned longer than pageout_min_age_ns)
+  // pageout stage: cold pinned fbufs (pinned longer than kPageoutMinAge)
   // are written to backing store — their contents must survive for the
   // retransmission, so unlike free-listed memory they are paged, never
   // discarded. Ledgers must outlive the manager or be detached by

@@ -1,6 +1,5 @@
 #include "src/proto/transport.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/obs/lifecycle.h"
@@ -147,8 +146,7 @@ void Transport::ArmTimer() {
   // loop's dispatch floor may already be past that (host timelines are only
   // partially ordered), so clamp the event key, never the deadline.
   const SimTime deadline = stack_->machine()->clock().Now() + rto_;
-  const SimTime key = std::max(deadline, loop_->Now());
-  timer_id_ = loop_->Schedule(key, "swp-rto", [this, deadline] {
+  timer_id_ = loop_->ScheduleAtLeast(deadline, "swp-rto", [this, deadline] {
     timer_pending_ = false;
     if (outstanding_.empty()) {
       return;  // defensive: a full ack should have cancelled this event

@@ -171,8 +171,8 @@ void TransferRing::ScheduleDrain(SimTime ready) {
     d->RunInDomain(consumer_, ready, "ring-drain/" + name_,
                    [this] { DrainPass(); });
   } else {
-    loop_->Schedule(std::max(ready, KeyNow()), "ring-drain/" + name_,
-                    [this] { DrainPass(); });
+    loop_->ScheduleAtLeast(std::max(ready, machine_->clock().Now()),
+                           "ring-drain/" + name_, [this] { DrainPass(); });
   }
 }
 
@@ -240,8 +240,8 @@ void TransferRing::ScheduleCompletions(std::vector<Completion> batch,
   if (d != nullptr && machine_->num_cpus() > 1) {
     d->RunInDomain(producer_, ready, "ring-complete/" + name_, std::move(run));
   } else {
-    loop_->Schedule(std::max(ready, KeyNow()), "ring-complete/" + name_,
-                    std::move(run));
+    loop_->ScheduleAtLeast(std::max(ready, machine_->clock().Now()),
+                           "ring-complete/" + name_, std::move(run));
   }
 }
 

@@ -1,6 +1,5 @@
 #include "src/serve/serve_world.h"
 
-#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -85,13 +84,6 @@ ServeWorld::ServeWorld(const ServeWorldConfig& config)
       });
 }
 
-SimTime ServeWorld::Key(SimTime t) const {
-  // Event keys order dispatch; host clocks carry the simulated times. A
-  // computed time can lie behind the loop's dispatch floor, so clamp the
-  // key — never the value.
-  return std::max(t, loop_.Now());
-}
-
 ServeRunStats ServeWorld::Run(const std::vector<ServeRequestSpec>& schedule) {
   stats_ = ServeRunStats{};
   pending_.clear();
@@ -102,8 +94,8 @@ ServeRunStats ServeWorld::Run(const std::vector<ServeRequestSpec>& schedule) {
   const SimTime t_start = loop_.Now();
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const ServeRequestSpec spec = schedule[i];
-    loop_.Schedule(Key(spec.at), "arrive/" + std::to_string(i),
-                   [this, spec] { Arrive(spec); });
+    loop_.ScheduleAtLeast(spec.at, "arrive/" + std::to_string(i),
+                          [this, spec] { Arrive(spec); });
   }
   // Drain to quiescence. With rings a quiescent point can still hold
   // partial batches the flush timer has not pushed out; FlushAll forces
@@ -279,7 +271,7 @@ void ServeWorld::SchedulePump() {
     return;
   }
   pump_scheduled_ = true;
-  loop_.Schedule(Key(server().machine.clock().Now()), "pump", [this] {
+  loop_.ScheduleAtLeast(server().machine.clock().Now(), "pump", [this] {
     pump_scheduled_ = false;
     PumpStaged();
   });
@@ -317,17 +309,17 @@ void ServeWorld::WirePdu(std::uint64_t id, SimHost::StagedPdu pdu) {
     PduDropped(id);
     return;
   }
-  const SimTime rx_dma_done = out.rx_dma_done;
+  const SimTime rx_dma_done = out.done;
   if (latency_enabled_ && rx_dma_done >= pdu.ready) {
     // Staged-at-driver to RX-DMA-complete: TX DMA + the wire + RX DMA — the
     // PDU's whole time on the network path.
     lat_.wire.push_back(rx_dma_done - pdu.ready);
   }
-  loop_.Schedule(Key(rx_dma_done), "deliver/" + std::to_string(id),
-                 [this, id, payload = std::move(pdu.payload),
-                  rx_dma_done]() mutable {
-                   DeliverPduEvent(id, std::move(payload), rx_dma_done);
-                 });
+  loop_.ScheduleAtLeast(rx_dma_done, "deliver/" + std::to_string(id),
+                        [this, id, payload = std::move(pdu.payload),
+                         rx_dma_done]() mutable {
+                          DeliverPduEvent(id, std::move(payload), rx_dma_done);
+                        });
 }
 
 void ServeWorld::DeliverPduEvent(std::uint64_t id,
@@ -429,20 +421,18 @@ void ServeWorld::ScheduleNotice(std::uint64_t id, bool failed) {
   // The dealloc notice (or, for a dead flow, the kernel's failure notice)
   // rides back over the otherwise idle reverse channel: one cell's worth
   // of latency, and only then do the server's pins drop.
-  const SimTime at =
-      Key(loop_.Now() + server().machine.costs().WireTime(kCellPayloadBytes));
-  loop_.Schedule(at,
-                 (failed ? std::string("abort-notice/")
-                         : std::string("dealloc-notice/")) + std::to_string(id),
-                 [this, id, failed] {
-                   // kNotFound is fine: a serve that failed inside Pop
-                   // already released its pins there.
-                   if (failed) {
-                     file_server_->AbortRequest(id);
-                   } else {
-                     file_server_->CompleteRequest(id);
-                   }
-                 });
+  loop_.ScheduleIn(server().machine.costs().WireTime(kCellPayloadBytes),
+                   (failed ? std::string("abort-notice/")
+                           : std::string("dealloc-notice/")) + std::to_string(id),
+                   [this, id, failed] {
+                     // kNotFound is fine: a serve that failed inside Pop
+                     // already released its pins there.
+                     if (failed) {
+                       file_server_->AbortRequest(id);
+                     } else {
+                       file_server_->CompleteRequest(id);
+                     }
+                   });
 }
 
 void ServeWorld::IssueFromQueue() {
@@ -467,7 +457,7 @@ void ServeWorld::ParkRetry(std::uint64_t id, const std::string& label,
     return;
   }
   stats_.parks++;
-  loop_.Schedule(Key(loop_.Now() + *delay), label, std::move(retry));
+  loop_.ScheduleIn(*delay, label, std::move(retry));
 }
 
 }  // namespace fbufs

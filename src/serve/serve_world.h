@@ -147,7 +147,6 @@ class ServeWorld {
     bool discard = false;
   };
 
-  SimTime Key(SimTime t) const;
   void Arrive(const ServeRequestSpec& spec);
   void Issue(const ServeRequestSpec& spec);
   void DeliverRequest(std::uint64_t id);

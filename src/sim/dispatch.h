@@ -127,10 +127,8 @@ class DispatchQueue {
   void SchedulePump(SimTime ready) {
     pump_scheduled_ = true;
     // The event key only orders dispatch; the true start time is computed
-    // against the lane clock when the item actually runs. Clamp to the
-    // loop's floor (lane timelines are only partially ordered).
-    const SimTime at = std::max(ready, loop_->Now());
-    loop_->Schedule(at, "dispatch/" + name_, [this] { Pump(); });
+    // against the lane clock when the item actually runs.
+    loop_->ScheduleAtLeast(ready, "dispatch/" + name_, [this] { Pump(); });
   }
 
   void Pump() {

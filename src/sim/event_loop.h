@@ -55,6 +55,14 @@ class EventLoop {
   EventId ScheduleIn(SimTime delay, std::string label, Handler fn) {
     return Schedule(now_ + delay, std::move(label), std::move(fn));
   }
+  // Schedules |fn| at |t|, or at the dispatch floor when |t| lies behind it.
+  // A time computed from a host clock or a resource's busy-until can trail
+  // the floor (host timelines are only partially ordered), so clamp the
+  // event key, never the time: the handler still reads |t| (or its host
+  // clock) for the simulated moment it stands for.
+  EventId ScheduleAtLeast(SimTime t, std::string label, Handler fn) {
+    return Schedule(t > now_ ? t : now_, std::move(label), std::move(fn));
+  }
 
   // Cancels a pending event. Returns true when the event existed and had not
   // yet been dispatched; a cancelled event never dispatches, never enters the

@@ -3,10 +3,10 @@
 // Counters let tests assert on mechanism ("a cached reuse performs zero
 // page-table updates") and let benches decompose where time goes.
 //
-// The field list is an X-macro: Since(), ToString() and the metrics export
-// (src/obs/metrics.h users) all iterate FBUFS_SIMSTATS_FIELDS, so adding a
-// counter here is the only step — it can no longer silently vanish from
-// Since() because the author forgot to mirror it.
+// The field list is an X-macro: Since() and ToString() both iterate
+// FBUFS_SIMSTATS_FIELDS, so adding a counter here is the only step — it can
+// no longer silently vanish from Since() because the author forgot to
+// mirror it.
 #ifndef SRC_SIM_STATS_H_
 #define SRC_SIM_STATS_H_
 
@@ -48,14 +48,6 @@ struct SimStats {
 
   // Difference against an earlier snapshot (field-wise, assumes monotonic).
   SimStats Since(const SimStats& base) const;
-
-  // Visits every counter as (name, value) — the metrics export walks this.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-#define FBUFS_SIMSTATS_VISIT(name) fn(#name, name);
-    FBUFS_SIMSTATS_FIELDS(FBUFS_SIMSTATS_VISIT)
-#undef FBUFS_SIMSTATS_VISIT
-  }
 
   // Human-readable multi-line dump for benches and debugging.
   std::string ToString() const;

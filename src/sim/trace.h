@@ -67,9 +67,7 @@ class Trace {
 
   // --- Control -----------------------------------------------------------------
   void Enable(TraceCategory c) { mask_ |= Bit(c); }
-  void Disable(TraceCategory c) { mask_ &= ~Bit(c); }
   void EnableAll() { mask_ = ~std::uint32_t{0}; }
-  void DisableAll() { mask_ = 0; }
   bool enabled(TraceCategory c) const { return (mask_ & Bit(c)) != 0; }
 
   // Re-sizes the ring. Only legal before any event was emitted (or after

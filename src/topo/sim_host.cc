@@ -85,7 +85,9 @@ SimHost::SimHost(const SimHostConfig& cfg, HostRole host_role,
       AppendHop(&data_hops, kernel->id());
     }
   }
-  const bool side_cached = is_sender ? config.sender_cached : config.cached;
+  // The sender's allocator is always cached (even in the Figure 6
+  // configuration): |cached| selects the receive side only.
+  const bool side_cached = is_sender || config.cached;
   PathId data_path = kNoPath;
   PathId udp_hdr_path = kNoPath;
   PathId ip_hdr_path = kNoPath;

@@ -53,9 +53,6 @@ struct SimHostConfig {
   // fbufs cost only in the transmitting host (the receiver's originator is
   // the trusted kernel).
   bool volatile_fbufs = true;
-  // Sender-side allocator caching (kept on even in the Figure 6
-  // configuration; turn off to study a fully uncached sender).
-  bool sender_cached = true;
   bool integrated = true;
   MachineConfig machine;  // cost model for all hosts
 };

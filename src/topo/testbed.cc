@@ -1,44 +1,38 @@
 #include "src/topo/testbed.h"
 
-#include <utility>
+#include <memory>
+#include <string>
 
 namespace fbufs {
 
-Testbed::Testbed(const TestbedConfig& config) : config_(config) {
-  // Host construction order (receiver, then sender0) matches the historical
-  // testbed; the wire's timing comes from the receiver's cost model.
-  receiver_node_ = topo_.AddHost(std::make_unique<SimHost>(
-      config, HostRole::kReceiver, kVci, /*port=*/2000, "receiver"));
-  sender_nodes_.push_back(topo_.AddHost(std::make_unique<SimHost>(
-      config, HostRole::kSender, kVci, /*port=*/2000, "sender0")));
-  link_ = topo_.AddLink(sender_nodes_[0], receiver_node_,
-                        &topo_.host(receiver_node_)->machine.costs(), "wire");
-  runner_ = std::make_unique<TopologyRunner>(&topo_, &loop_);
+namespace {
 
-  Leg leg;
-  leg.tx = sender_nodes_[0];
-  leg.rx = receiver_node_;
-  leg.vci = kVci;
-  leg.hops.push_back(Hop{link_, kNoNode});
-  runner_->AddFlow({leg}, topo_.host(receiver_node_)->sink.get(),
-                   config.window);
+TopologyConfig DirectShape(const TestbedConfig& config) {
+  TopologyConfig cfg;
+  cfg.shape = TopologyShape::kDirect;
+  cfg.host = config;
+  cfg.window = config.window;
+  return cfg;
 }
 
-std::size_t Testbed::AddFlow(std::uint32_t vci, std::uint16_t port) {
-  const std::size_t index = runner_->flow_count();
-  const NodeId tx = topo_.AddHost(std::make_unique<SimHost>(
-      config_, HostRole::kSender, vci, port, "sender" + std::to_string(index)));
-  sender_nodes_.push_back(tx);
-  SinkProtocol* sink =
-      topo_.host(receiver_node_)->AddFlowEndpoint(vci, port, index);
+}  // namespace
 
-  // Every flow shares the single null-modem wire, as before.
-  Leg leg;
-  leg.tx = tx;
-  leg.rx = receiver_node_;
-  leg.vci = vci;
-  leg.hops.push_back(Hop{link_, kNoNode});
-  return runner_->AddFlow({leg}, sink, config_.window);
+Testbed::Testbed(const TestbedConfig& config)
+    : config_(config), built_(BuildTopology(DirectShape(config))) {}
+
+std::size_t Testbed::AddFlow(std::uint32_t vci, std::uint16_t port) {
+  const std::size_t index = built_.runner->flow_count();
+  const NodeId tx = built_.topo->AddHost(std::make_unique<SimHost>(
+      config_, HostRole::kSender, vci, port, "sender" + std::to_string(index)));
+  built_.sender_nodes.push_back(tx);
+  SinkProtocol* sink = receiver().AddFlowEndpoint(vci, port, index);
+  // Every flow shares the single null-modem wire.
+  const LinkId wire = built_.sender_links[0];
+  built_.sender_links.push_back(wire);
+  built_.flows.push_back(built_.runner->AddFlow(
+      {Leg{tx, built_.receiver_node, vci, {Hop{wire, kNoNode}}}}, sink,
+      config_.window));
+  return built_.flows.back();
 }
 
 Testbed::Result Testbed::Run(std::uint64_t messages, std::uint64_t bytes,

@@ -2,29 +2,19 @@
 // the paper's end-to-end UDP/IP experiment (Figures 5 and 6, and the §4 CPU
 // load measurements), generalized to many concurrent flows.
 //
-// Since the topology fabric landed (src/topo/topology.h), the testbed is
-// the trivial one-link topology: one receiver host, N sender hosts sharing
-// one wire, one flow per sender, scheduled by TopologyRunner. The runner's
-// one-link schedule is the historical testbed schedule, so fig5/fig6/
-// cpu_load numbers reproduce byte-identically.
+// The testbed is BuildTopology's kDirect shape (src/topo/topo_config.h):
+// one receiver host, one sender host, one wire, one flow, scheduled by
+// TopologyRunner, whose one-link schedule is the historical testbed
+// schedule, so fig5/fig6/cpu_load numbers reproduce byte-identically.
+// AddFlow adds what no shape builds: further sender hosts sharing that one
+// wire, each flow to its own sink on the receiver.
 #ifndef SRC_TOPO_TESTBED_H_
 #define SRC_TOPO_TESTBED_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "src/net/driver.h"
-#include "src/net/link.h"
-#include "src/net/osiris.h"
-#include "src/proto/ip.h"
-#include "src/proto/loopback_stack.h"
-#include "src/proto/test_protocols.h"
-#include "src/proto/udp.h"
-#include "src/sim/event_loop.h"
-#include "src/topo/topo_runner.h"
-#include "src/topo/topology.h"
+#include "src/topo/topo_config.h"
 
 namespace fbufs {
 
@@ -55,36 +45,36 @@ class Testbed {
 
   // Adds a flow: a new sender host transmitting on |vci| (over the shared
   // wire) to a new sink bound at |port| on the receiving host. Flow 0
-  // (VCI kVci, port 2000) exists from construction. Returns the flow index.
+  // (VCI kBaseVci, port kBasePort) exists from construction. Returns the
+  // flow index.
   std::size_t AddFlow(std::uint32_t vci, std::uint16_t port);
 
   // Schedules traffic[i] on flow i (entries beyond the flow count are
   // ignored; zero-message entries leave a flow idle), runs the event loop to
   // quiescence, and reports per-flow and per-resource results.
   MultiResult RunFlows(const std::vector<FlowTraffic>& traffic) {
-    return runner_->RunFlows(traffic);
+    return built_.runner->RunFlows(traffic);
   }
 
-  SimHost& sender() { return *topo_.host(sender_nodes_[0]); }
-  SimHost& sender(std::size_t flow) { return *topo_.host(sender_nodes_[flow]); }
-  SimHost& receiver() { return *topo_.host(receiver_node_); }
-  NullModemLink& link() { return topo_.link(link_).wire_link(); }
-  EventLoop& loop() { return loop_; }
-  Topology& topology() { return topo_; }
-  TopologyRunner& runner() { return *runner_; }
-  std::size_t flow_count() const { return runner_->flow_count(); }
-  SinkProtocol& flow_sink(std::size_t flow) { return runner_->flow_sink(flow); }
-
-  static constexpr std::uint32_t kVci = 42;
+  SimHost& sender() { return sender(0); }
+  SimHost& sender(std::size_t flow) {
+    return *built_.topo->host(built_.sender_nodes[flow]);
+  }
+  SimHost& receiver() { return *built_.topo->host(built_.receiver_node); }
+  NullModemLink& link() {
+    return built_.topo->link(built_.sender_links[0]).wire_link();
+  }
+  EventLoop& loop() { return *built_.loop; }
+  Topology& topology() { return *built_.topo; }
+  TopologyRunner& runner() { return *built_.runner; }
+  std::size_t flow_count() const { return built_.runner->flow_count(); }
+  SinkProtocol& flow_sink(std::size_t flow) {
+    return built_.runner->flow_sink(flow);
+  }
 
  private:
   TestbedConfig config_;
-  EventLoop loop_;
-  Topology topo_;
-  std::unique_ptr<TopologyRunner> runner_;
-  std::vector<NodeId> sender_nodes_;
-  NodeId receiver_node_ = kNoNode;
-  LinkId link_ = 0;
+  BuiltTopology built_;
 };
 
 }  // namespace fbufs

@@ -25,31 +25,31 @@ const CostParams* ReceiverCosts(BuiltTopology* b) {
 BuiltTopology BuildTopology(const TopologyConfig& cfg) {
   BuiltTopology b;
   b.loop = std::make_unique<EventLoop>();
-  b.topo = std::make_unique<Topology>(cfg.seed);
+  b.topo = std::make_unique<Topology>();
 
   switch (cfg.shape) {
     case TopologyShape::kDirect: {
-      const NodeId rx = BuildReceiver(&b, cfg, cfg.base_vci, cfg.base_port);
+      const NodeId rx = BuildReceiver(&b, cfg, kBaseVci, kBasePort);
       const NodeId tx = b.topo->AddHost(std::make_unique<SimHost>(
-          cfg.host, HostRole::kSender, cfg.base_vci, cfg.base_port, "sender0"));
+          cfg.host, HostRole::kSender, kBaseVci, kBasePort, "sender0"));
       b.sender_nodes.push_back(tx);
       const LinkId wire = b.topo->AddLink(tx, rx, ReceiverCosts(&b), "wire",
                                           cfg.sender_link_mbps);
       b.sender_links.push_back(wire);
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
       b.flows.push_back(b.runner->AddFlow(
-          {Leg{tx, rx, cfg.base_vci, {Hop{wire, kNoNode}}}},
+          {Leg{tx, rx, kBaseVci, {Hop{wire, kNoNode}}}},
           b.topo->host(rx)->sink.get(), cfg.window));
       break;
     }
 
     case TopologyShape::kStar: {
-      const NodeId rx = BuildReceiver(&b, cfg, cfg.base_vci, cfg.base_port);
+      const NodeId rx = BuildReceiver(&b, cfg, kBaseVci, kBasePort);
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
       for (std::size_t i = 0; i < cfg.senders; ++i) {
-        const std::uint32_t vci = cfg.base_vci + static_cast<std::uint32_t>(i);
+        const std::uint32_t vci = kBaseVci + static_cast<std::uint32_t>(i);
         const std::uint16_t port =
-            static_cast<std::uint16_t>(cfg.base_port + i);
+            static_cast<std::uint16_t>(kBasePort + i);
         const NodeId tx = b.topo->AddHost(std::make_unique<SimHost>(
             cfg.host, HostRole::kSender, vci, port,
             "sender" + std::to_string(i)));
@@ -68,15 +68,15 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
     }
 
     case TopologyShape::kFanInSwitch: {
-      const NodeId rx = BuildReceiver(&b, cfg, cfg.base_vci, cfg.base_port);
+      const NodeId rx = BuildReceiver(&b, cfg, kBaseVci, kBasePort);
       b.switch_node = b.topo->AddSwitch("sw0", {cfg.switch_port});
       b.trunk_link = b.topo->AddLink(b.switch_node, rx, ReceiverCosts(&b),
                                      "trunk", cfg.trunk_mbps);
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
       for (std::size_t i = 0; i < cfg.senders; ++i) {
-        const std::uint32_t vci = cfg.base_vci + static_cast<std::uint32_t>(i);
+        const std::uint32_t vci = kBaseVci + static_cast<std::uint32_t>(i);
         const std::uint16_t port =
-            static_cast<std::uint16_t>(cfg.base_port + i);
+            static_cast<std::uint16_t>(kBasePort + i);
         const NodeId tx = b.topo->AddHost(std::make_unique<SimHost>(
             cfg.host, HostRole::kSender, vci, port,
             "sender" + std::to_string(i)));
@@ -99,24 +99,24 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
     }
 
     case TopologyShape::kRelayChain: {
-      // VCIs/ports advance per leg: sender speaks base_vci/base_port to the
-      // first relay, which forwards on base_vci+1/base_port+1, and so on.
+      // VCIs/ports advance per leg: sender speaks kBaseVci/kBasePort to the
+      // first relay, which forwards on kBaseVci+1/kBasePort+1, and so on.
       const std::uint32_t last_vci =
-          cfg.base_vci + static_cast<std::uint32_t>(cfg.relays);
+          kBaseVci + static_cast<std::uint32_t>(cfg.relays);
       const std::uint16_t last_port =
-          static_cast<std::uint16_t>(cfg.base_port + cfg.relays);
+          static_cast<std::uint16_t>(kBasePort + cfg.relays);
       const NodeId rx = BuildReceiver(&b, cfg, last_vci, last_port);
       const NodeId tx = b.topo->AddHost(std::make_unique<SimHost>(
-          cfg.host, HostRole::kSender, cfg.base_vci, cfg.base_port, "sender0"));
+          cfg.host, HostRole::kSender, kBaseVci, kBasePort, "sender0"));
       b.sender_nodes.push_back(tx);
       for (std::size_t r = 0; r < cfg.relays; ++r) {
         RelayWiring wiring;
-        wiring.out_vci = cfg.base_vci + static_cast<std::uint32_t>(r + 1);
-        wiring.out_port = static_cast<std::uint16_t>(cfg.base_port + r + 1);
+        wiring.out_vci = kBaseVci + static_cast<std::uint32_t>(r + 1);
+        wiring.out_port = static_cast<std::uint16_t>(kBasePort + r + 1);
         b.relay_nodes.push_back(b.topo->AddHost(std::make_unique<SimHost>(
             cfg.host, HostRole::kRelay,
-            cfg.base_vci + static_cast<std::uint32_t>(r),
-            static_cast<std::uint16_t>(cfg.base_port + r),
+            kBaseVci + static_cast<std::uint32_t>(r),
+            static_cast<std::uint16_t>(kBasePort + r),
             "relay" + std::to_string(r), &wiring)));
       }
       b.runner = std::make_unique<TopologyRunner>(b.topo.get(), b.loop.get());
@@ -129,7 +129,7 @@ BuiltTopology BuildTopology(const TopologyConfig& cfg) {
             cfg.sender_link_mbps);
         b.sender_links.push_back(wire);
         legs.push_back(Leg{prev, next,
-                           cfg.base_vci + static_cast<std::uint32_t>(r),
+                           kBaseVci + static_cast<std::uint32_t>(r),
                            {Hop{wire, kNoNode}}});
         prev = next;
       }

@@ -27,6 +27,11 @@ namespace fbufs {
 
 enum class TopologyShape { kDirect, kStar, kFanInSwitch, kRelayChain };
 
+// Flow i (relay chain: leg i) runs on VCI kBaseVci + i and delivers to UDP
+// port kBasePort + i.
+inline constexpr std::uint32_t kBaseVci = 42;
+inline constexpr std::uint16_t kBasePort = 2000;
+
 struct TopologyConfig {
   TopologyShape shape = TopologyShape::kDirect;
   SimHostConfig host;      // stack configuration shared by every host
@@ -38,9 +43,6 @@ struct TopologyConfig {
   double sender_link_mbps = 0;
   double trunk_mbps = 0;                // switch -> receiver trunk
   SwitchPortConfig switch_port;         // kFanInSwitch shared output port
-  std::uint32_t base_vci = 42;          // flow i uses base_vci + i
-  std::uint16_t base_port = 2000;       // flow i delivers to base_port + i
-  std::uint64_t seed = 0x5eed;          // per-link loss-Rng seed base
 };
 
 // A built scenario: the graph, its event loop, a runner with one flow per

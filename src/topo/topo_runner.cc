@@ -12,14 +12,6 @@ std::size_t TopologyRunner::AddFlow(std::vector<Leg> legs, SinkProtocol* sink,
   return flows_.size() - 1;
 }
 
-SimTime TopologyRunner::Key(SimTime t) const {
-  // Event keys order dispatch; handlers derive simulated times from host
-  // clocks and resource busy-untils. A computed time can lie behind the
-  // loop's dispatch floor (host timelines are only partially ordered), so
-  // clamp the key — never the value.
-  return std::max(t, loop_->Now());
-}
-
 void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
   FlowRun& run = runs_[flow];
   if (step_pending_[flow] || run.failed || run.next >= run.total) {
@@ -27,12 +19,13 @@ void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
   }
   step_pending_[flow] = true;
   SimHost& tx = TxHost(flow);
-  loop_->Schedule(Key(tx.machine.cpu_clock(run.tx_cpu).Now()),
-                  "send/" + std::to_string(flow) + "/" + std::to_string(run.next),
-                  [this, flow] {
-                    step_pending_[flow] = false;
-                    SenderStep(flow);
-                  });
+  loop_->ScheduleAtLeast(
+      tx.machine.cpu_clock(run.tx_cpu).Now(),
+      "send/" + std::to_string(flow) + "/" + std::to_string(run.next),
+      [this, flow] {
+        step_pending_[flow] = false;
+        SenderStep(flow);
+      });
 }
 
 void TopologyRunner::SenderStep(std::size_t flow) {
@@ -107,17 +100,17 @@ void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
     PduDropped(flow, msg);
     return;
   }
-  const SimTime rx_dma_done = out.rx_dma_done;
+  const SimTime rx_dma_done = out.done;
   if (leg_i + 1 == legs.size()) {
-    loop_->Schedule(
-        Key(rx_dma_done),
+    loop_->ScheduleAtLeast(
+        rx_dma_done,
         "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
         [this, flow, msg, payload = std::move(pdu.payload), rx_dma_done]() mutable {
           DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
         });
   } else {
-    loop_->Schedule(
-        Key(rx_dma_done),
+    loop_->ScheduleAtLeast(
+        rx_dma_done,
         "relay/" + std::to_string(flow) + "/" + std::to_string(msg),
         [this, flow, leg_i, msg, payload = std::move(pdu.payload),
          rx_dma_done]() mutable {
@@ -258,14 +251,14 @@ void TopologyRunner::CompleteMessage(std::size_t flow, std::uint64_t msg) {
   const SimTime ack_t =
       rx_clock.Now() + rx.machine.costs().WireTime(kCellPayloadBytes);
   run.completed++;
-  loop_->Schedule(Key(ack_t),
-                  "ack/" + std::to_string(flow) + "/" + std::to_string(msg),
-                  [this, flow, msg, ack_t] {
-                    FlowRun& r = runs_[flow];
-                    r.ack_time[msg] = ack_t;
-                    r.acked[msg] = true;
-                    ScheduleSenderStep(flow);
-                  });
+  loop_->ScheduleAtLeast(
+      ack_t, "ack/" + std::to_string(flow) + "/" + std::to_string(msg),
+      [this, flow, msg, ack_t] {
+        FlowRun& r = runs_[flow];
+        r.ack_time[msg] = ack_t;
+        r.acked[msg] = true;
+        ScheduleSenderStep(flow);
+      });
 }
 
 MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {

@@ -121,7 +121,6 @@ class TopologyRunner {
   SimHost& TxHost(std::size_t flow) { return *topo_->host(flows_[flow].legs.front().tx); }
   SimHost& RxHost(std::size_t flow) { return *topo_->host(flows_[flow].legs.back().rx); }
 
-  SimTime Key(SimTime t) const;
   void ScheduleSenderStep(std::size_t flow);
   void SenderStep(std::size_t flow);
   // Pipes one staged PDU through leg |leg| of |flow|; schedules its arrival

@@ -39,8 +39,7 @@ SwitchNode::Outcome SwitchNode::Forward(std::uint32_t vci, std::uint64_t bytes,
     return {arrival, true};
   }
   const SimTime serialize =
-      static_cast<SimTime>(static_cast<double>(bytes) * 8.0 * 1000.0 / p.cfg.mbps) +
-      p.cfg.per_pdu_ns;
+      static_cast<SimTime>(static_cast<double>(bytes) * 8.0 * 1000.0 / p.cfg.mbps);
   const SimTime done = p.line.Acquire(arrival, serialize);
   p.in_flight.push_back({done, vci});
   p.forwarded++;
@@ -96,26 +95,61 @@ LinkId Topology::AddLink(NodeId from, NodeId to, const CostParams* costs,
   return id;
 }
 
-Topology::Outcome Topology::Carry(const Leg& leg, std::uint64_t payload_bytes,
-                                  SimTime ready) {
-  const std::uint64_t wire_bytes = AalWireBytes(payload_bytes);
-  SimTime t = host(leg.tx)->out_adapter().TxDma(wire_bytes, ready);
-  for (const Hop& hop : leg.hops) {
-    const TopoLink::Outcome wire = link(hop.link).Transmit(wire_bytes, t);
-    if (wire.dropped) {
-      return {0, true};
+std::uint64_t Topology::switch_drops() const {
+  std::uint64_t n = 0;
+  for (const auto& sw : switches_) {
+    if (sw != nullptr) {
+      n += sw->drops_total();
     }
-    t = wire.arrival;
+  }
+  return n;
+}
+
+std::uint64_t Topology::ecn_marks() const {
+  std::uint64_t n = 0;
+  for (const auto& sw : switches_) {
+    if (sw != nullptr) {
+      n += sw->ecn_marks_total();
+    }
+  }
+  return n;
+}
+
+Topology::Outcome Topology::Traverse(std::uint32_t vci,
+                                     const std::vector<Hop>& hops,
+                                     std::uint64_t bytes, SimTime ready) {
+  Outcome out{ready};
+  for (const Hop& hop : hops) {
+    if (hop.link != kNoLink) {
+      const TopoLink::Outcome wire = link(hop.link).Transmit(bytes, out.done);
+      if (wire.dropped) {
+        return {0, true};
+      }
+      out.done = wire.arrival;
+    }
     if (hop.via_switch != kNoNode) {
       const SwitchNode::Outcome fwd =
-          switch_at(hop.via_switch)->Forward(leg.vci, wire_bytes, t);
+          switch_at(hop.via_switch)->Forward(vci, bytes, out.done);
       if (fwd.dropped) {
         return {0, true};
       }
-      t = fwd.done;
+      out.done = fwd.done;
+      out.ecn_marked = out.ecn_marked || fwd.ecn_marked;
     }
   }
-  return {host(leg.rx)->adapter.RxDma(wire_bytes, t), false};
+  return out;
+}
+
+Topology::Outcome Topology::Carry(const Leg& leg, std::uint64_t payload_bytes,
+                                  SimTime ready) {
+  const std::uint64_t wire_bytes = AalWireBytes(payload_bytes);
+  Outcome out =
+      Traverse(leg.vci, leg.hops, wire_bytes,
+               host(leg.tx)->out_adapter().TxDma(wire_bytes, ready));
+  if (!out.dropped) {
+    out.done = host(leg.rx)->adapter.RxDma(wire_bytes, out.done);
+  }
+  return out;
 }
 
 }  // namespace fbufs

@@ -13,8 +13,12 @@
 // in PDUs: a PDU arriving at a full queue is dropped (counted, observable),
 // never stalled — exactly how an output-queued ATM switch sheds load.
 //
-// Topology::Carry is the one wire pipeline: every harness that moves a PDU
-// from one host's adapter to another's (TopologyRunner, ServeWorld) calls it.
+// Topology::Traverse is the one hop walk: each hop's wire, then that hop's
+// switch. Topology::Carry wraps it in the sending adapter's TX DMA and the
+// receiving adapter's RX DMA, and is the one wire pipeline every harness
+// that moves a PDU between two hosts' adapters calls (TopologyRunner,
+// ServeWorld). IncastWorld, whose senders have no host node, calls Traverse
+// directly. Either way a world's fabric is fully described by its Topology.
 #ifndef SRC_TOPO_TOPOLOGY_H_
 #define SRC_TOPO_TOPOLOGY_H_
 
@@ -36,6 +40,7 @@ namespace fbufs {
 using NodeId = std::size_t;
 using LinkId = std::size_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+inline constexpr LinkId kNoLink = static_cast<LinkId>(-1);
 
 // A unidirectional link: a NullModemLink wire plus loss injection.
 class TopoLink {
@@ -86,7 +91,6 @@ class TopoLink {
 struct SwitchPortConfig {
   double mbps = 516.0;          // output line rate
   std::size_t queue_pdus = 32;  // bounded output queue, in PDUs
-  SimTime per_pdu_ns = 0;       // fixed forwarding cost per PDU
 };
 
 // An output-queued ATM switch: per-VCI routing to an output port whose line
@@ -170,8 +174,9 @@ class SwitchNode {
   MetricsRegistry* metrics_ = nullptr;
 };
 
-// One wire hop: a link, optionally terminating at a switch that forwards
-// onto the next hop's link.
+// One hop: a link's wire, then optionally a switch that forwards onto the
+// next hop. A hop without a link (kNoLink) is a switch port feeding the next
+// hop's switch directly, as a ToR uplink feeds the core.
 struct Hop {
   LinkId link = 0;
   NodeId via_switch = kNoNode;  // set when the hop lands on a switch
@@ -191,20 +196,30 @@ struct Leg {
 // a scenario's deterministic identity); links reference nodes by id.
 class Topology {
  public:
-  explicit Topology(std::uint64_t seed = 0x5eed) : seed_(seed) {}
+  // Seed of the per-link loss streams.
+  static constexpr std::uint64_t kDefaultSeed = 0x5eed;
+
+  explicit Topology(std::uint64_t seed = kDefaultSeed) : seed_(seed) {}
 
   struct Outcome {
-    SimTime rx_dma_done = 0;  // 0 when dropped
+    SimTime done = 0;         // when the last stage finished; 0 when dropped
     bool dropped = false;
+    bool ecn_marked = false;  // some switch on the way marked the PDU
   };
 
+  // Walks one PDU of |bytes| on |vci|, ready at |ready|, across |hops|: each
+  // hop's wire (unless kNoLink), then its switch (unless kNoNode). The
+  // serial resources are acquired in that order; each acquisition advances
+  // that resource's busy-until, never a host clock. A PDU lost on a wire or
+  // shed by a switch goes no further. ECN marks from every switch passed are
+  // ORed.
+  Outcome Traverse(std::uint32_t vci, const std::vector<Hop>& hops,
+                   std::uint64_t bytes, SimTime ready);
+
   // Carries one PDU of |payload_bytes|, staged at |ready|, along |leg|: TX
-  // DMA on |tx|'s outbound adapter, each hop's wire (and switch), RX DMA on
-  // |rx|'s adapter. Every stage moves the PDU's AAL5 cells,
-  // AalWireBytes(payload_bytes). The serial resources are acquired in
-  // pipeline order; each acquisition advances that resource's busy-until,
-  // never a host clock. A PDU lost on a wire or shed by a switch goes no
-  // further.
+  // DMA on |tx|'s outbound adapter, Traverse of the leg's hops, RX DMA on
+  // |rx|'s adapter; |done| is the RX DMA completion. Every stage moves the
+  // PDU's AAL5 cells, AalWireBytes(payload_bytes).
   Outcome Carry(const Leg& leg, std::uint64_t payload_bytes, SimTime ready);
 
   NodeId AddHost(std::unique_ptr<SimHost> host);
@@ -223,6 +238,10 @@ class Topology {
   TopoLink& link(LinkId id) { return *links_[id]; }
   std::size_t node_count() const { return hosts_.size(); }
   std::size_t link_count() const { return links_.size(); }
+
+  // Totals over every switch.
+  std::uint64_t switch_drops() const;
+  std::uint64_t ecn_marks() const;
 
  private:
   std::uint64_t seed_;

@@ -178,7 +178,7 @@ TerminateOutcome RunTerminateCampaign(bool terminate_relay,
   cfg.host.pdu_size = pdu_size;
   BuiltTopology b = BuildTopology(cfg);
 
-  CampaignRunner cr("test_terminate", cfg.seed, b.loop.get());
+  CampaignRunner cr("test_terminate", Topology::kDefaultSeed, b.loop.get());
   cr.AttachTopology(b.topo.get(), b.runner.get());
   AuditAllHosts(&cr, &b);
 
@@ -291,7 +291,7 @@ TEST(Campaigns, LinkFaultsRestoreTheirPriorValues) {
   cfg.shape = TopologyShape::kFanInSwitch;
   cfg.senders = 2;
   BuiltTopology b = BuildTopology(cfg);
-  CampaignRunner cr("test_restore", cfg.seed, b.loop.get());
+  CampaignRunner cr("test_restore", Topology::kDefaultSeed, b.loop.get());
   cr.AttachTopology(b.topo.get(), b.runner.get());
   AuditAllHosts(&cr, &b);
 

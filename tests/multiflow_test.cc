@@ -71,7 +71,7 @@ class MultiFlowTest : public ::testing::Test {
 
 TEST_F(MultiFlowTest, TwoVcisDemuxToTwoSinks) {
   // Flow 1: the testbed's own VCI/port; flow 2: ours.
-  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 1000, 0xAA), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 1000, 0xAA), kBaseVci, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2001, 2, 2000, 0xBB), 77, true), Status::kOk);
   EXPECT_EQ(rx_->sink->received(), 1u);
@@ -81,7 +81,7 @@ TEST_F(MultiFlowTest, TwoVcisDemuxToTwoSinks) {
 }
 
 TEST_F(MultiFlowTest, FlowsUseTheirOwnPathAllocators) {
-  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 500, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2000, 1, 500, 1), kBaseVci, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(MakePdu(2001, 2, 500, 2), 77, true), Status::kOk);
   // Find the two reassembly fbufs: their path ids must differ and match the
@@ -148,13 +148,13 @@ TEST_F(MultiFlowTest, InterleavedFlowsKeepReassemblyApart) {
     return pdu;
   };
   const std::uint32_t first_len = UdpProtocol::kHeaderBytes + body;
-  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, 0, true, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, 0, true, 1), kBaseVci, true),
             Status::kOk);
   ASSERT_EQ(rx_->driver->DeliverPdu(frag(2001, 11, 0, true, 2), 77, true), Status::kOk);
   EXPECT_EQ(rx_->ip->reassembly_backlog(), 2u);
   ASSERT_EQ(rx_->driver->DeliverPdu(frag(2001, 11, first_len, false, 2), 77, true),
             Status::kOk);
-  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, first_len, false, 1), Testbed::kVci, true),
+  ASSERT_EQ(rx_->driver->DeliverPdu(frag(2000, 10, first_len, false, 1), kBaseVci, true),
             Status::kOk);
   EXPECT_EQ(rx_->ip->reassembly_backlog(), 0u);
   EXPECT_EQ(rx_->sink->bytes_received(), 2 * body);

@@ -1,8 +1,9 @@
 // Tests for the topology fabric: declarative construction (star, fan-in
 // switch, relay chain), trace-hash determinism of multi-host schedules,
 // fbuf-to-fbuf relay forwarding (pointer identity, zero copies), bounded
-// switch queues shedding load without hanging the run, and deterministic
-// per-link loss injection.
+// switch queues shedding load without hanging the run, deterministic
+// per-link loss injection, and Traverse's hop walk through chained switches
+// (ECN marks, drops, and the fabric-wide switch totals).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -186,6 +187,50 @@ TEST(Topology, LinkLossIsDeterministicAndStaysOnItsLink) {
   EXPECT_EQ(first.clean_drops, 0u);
   EXPECT_EQ(first.flow0_dropped, first.lossy_drops);
   EXPECT_EQ(first.flow1_dropped, 0u);
+}
+
+TEST(Topology, TraverseWalksALinkThenTwoChainedSwitches) {
+  // link -> switch A, then A's port feeds switch B directly (no wire): the
+  // IncastWorld route. B's slow line makes B the bottleneck.
+  const CostParams costs = CostParams::DecStation5000();
+  Topology topo;
+  const NodeId a = topo.AddSwitch("a", {SwitchPortConfig{}});
+  const NodeId b = topo.AddSwitch("b", {SwitchPortConfig{50.0, 8}});
+  const LinkId in = topo.AddLink(a, a, &costs, "in");
+  constexpr std::uint32_t kVci = 7;
+  SwitchNode& sw_a = *topo.switch_at(a);
+  SwitchNode& sw_b = *topo.switch_at(b);
+  sw_a.Route(kVci, 0);
+  sw_b.Route(kVci, 0);
+  constexpr std::size_t kEcnThreshold = 2;
+  sw_b.set_ecn_threshold(kEcnThreshold);
+  const std::vector<Hop> hops = {Hop{in, a}, Hop{kNoLink, b}};
+
+  constexpr std::uint64_t kBytes = 4096;
+  constexpr std::size_t kPdus = 5;
+  for (std::size_t i = 0; i < kPdus; ++i) {
+    const Topology::Outcome out = topo.Traverse(kVci, hops, kBytes, 0);
+    ASSERT_FALSE(out.dropped) << "pdu " << i;
+    // The walk ends when B's port finishes serializing the PDU.
+    EXPECT_EQ(out.done, sw_b.port_resource(0).busy_until()) << "pdu " << i;
+    // All PDUs stand in B's queue (its line is 10x slower than the wire):
+    // past the threshold, B marks.
+    EXPECT_EQ(out.ecn_marked, i >= kEcnThreshold) << "pdu " << i;
+  }
+  // Only the first hop has a wire; the kNoLink hop never touches one.
+  EXPECT_EQ(topo.link(in).wire_link().pdus_carried(), kPdus);
+  EXPECT_EQ(sw_a.ecn_marks_total(), 0u);
+  EXPECT_EQ(sw_b.ecn_marks_total(), kPdus - kEcnThreshold);
+
+  // Squeezed to zero, B sheds the next arrival and the walk stops there.
+  sw_b.set_port_queue_limit(0, 0);
+  const Topology::Outcome shed = topo.Traverse(kVci, hops, kBytes, 0);
+  EXPECT_TRUE(shed.dropped);
+  EXPECT_EQ(sw_b.port_drops(0), 1u);
+  EXPECT_EQ(sw_a.drops_total(), 0u);
+
+  EXPECT_EQ(topo.switch_drops(), sw_a.drops_total() + sw_b.drops_total());
+  EXPECT_EQ(topo.ecn_marks(), sw_a.ecn_marks_total() + sw_b.ecn_marks_total());
 }
 
 }  // namespace

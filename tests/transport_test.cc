@@ -150,7 +150,7 @@ TEST(RetransmitLedger, ColdPinsPageOutUnderPressureAndRetransmitFaultsBack) {
               Status::kOk);
   }
   ASSERT_EQ(p.ledger.pinned_pages(), 16u);
-  w.machine.clock().Advance(pc.pageout_min_age_ns + kMillisecond);
+  w.machine.clock().Advance(PressureManager::kPageoutMinAge + kMillisecond);
 
   // Exhaust the pool; the next demand's emergency sweep pages the cold
   // pinned fbufs to backing store instead of failing the allocation.
