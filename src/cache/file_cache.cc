@@ -1,5 +1,6 @@
 #include "src/cache/file_cache.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace fbufs {
@@ -42,8 +43,11 @@ Status FileCache::FetchFromDisk(const Key& key, Message* out) {
     }
     std::uint8_t* data = machine.pmem().Data(frame);
     const std::uint64_t base = page * kPageSize;
-    for (std::uint64_t i = 0; i < kPageSize && base + i < config_.block_bytes; ++i) {
-      data[i] = static_cast<std::uint8_t>(key.file * 37 + key.block * 11 + base + i);
+    const std::uint64_t n =
+        base < config_.block_bytes ? std::min(kPageSize, config_.block_bytes - base) : 0;
+    const std::uint64_t seed = key.file * 37 + key.block * 11 + base;
+    for (std::uint64_t i = 0; i < n; ++i) {
+      data[i] = static_cast<std::uint8_t>(seed + i);
     }
   }
   *out = Message::Leaf(fb, 0, config_.block_bytes);

@@ -90,17 +90,23 @@ class Attribution {
     }
   };
 
-  Attribution() { Revalidate(); }
+  Attribution() = default;
 
   Attribution(const Attribution&) = delete;
   Attribution& operator=(const Attribution&) = delete;
 
   // --- Recording (called from the SimClock charge hook) ----------------------
   void Record(SimTime ns) {
+    if (work_cell_ == nullptr) {
+      work_cell_ = &cells_[Key{CurrentLayer(), actor_, path_, cpu_}];
+    }
     *work_cell_ += ns;
     total_ += ns;
   }
   void RecordWait(SimTime ns) {
+    if (wait_cell_ == nullptr) {
+      wait_cell_ = &cells_[Key{CostDomain::kWait, actor_, path_, cpu_}];
+    }
     *wait_cell_ += ns;
     total_ += ns;
   }
@@ -121,11 +127,11 @@ class Attribution {
       stack_[depth_] = d;
     }
     depth_++;
-    Revalidate();
+    work_cell_ = nullptr;
   }
   void PopLayer() {
     depth_--;
-    Revalidate();
+    work_cell_ = nullptr;
   }
   CostDomain CurrentLayer() const {
     if (depth_ == 0) {
@@ -138,19 +144,19 @@ class Attribution {
   DomainId actor() const { return actor_; }
   void SetActor(DomainId d) {
     actor_ = d;
-    Revalidate();
+    Invalidate();
   }
   AttrPathId path() const { return path_; }
   void SetPath(AttrPathId p) {
     path_ = p;
-    Revalidate();
+    Invalidate();
   }
   std::uint32_t cpu() const { return cpu_; }
   // The CPU lane charges land on. Maintained by Machine::SetActiveCpu, not
   // by a scope here: the active lane is machine state, not call-site state.
   void SetCpu(std::uint32_t c) {
     cpu_ = c;
-    Revalidate();
+    Invalidate();
   }
 
   // --- Inspection -------------------------------------------------------------
@@ -181,11 +187,16 @@ class Attribution {
  private:
   static constexpr std::size_t kMaxDepth = 16;
 
-  // Re-resolves the cached cell pointers after any context change; Record
-  // and RecordWait stay two additions each.
-  void Revalidate() {
-    work_cell_ = &cells_[Key{CurrentLayer(), actor_, path_, cpu_}];
-    wait_cell_ = &cells_[Key{CostDomain::kWait, actor_, path_, cpu_}];
+  // Drops both cached cell pointers after an actor, path or cpu change (a
+  // layer change drops only work_cell_: waits are always keyed kWait). Scope
+  // edges are therefore two stores; the first Record or RecordWait under the
+  // new context resolves its cell with one map lookup, and later charges in
+  // the same context are two additions. Cells are created only when a
+  // nonzero charge lands (SimClock never hooks a zero move), so cells()
+  // holds no zero entries.
+  void Invalidate() {
+    work_cell_ = nullptr;
+    wait_cell_ = nullptr;
   }
 
   std::map<Key, SimTime> cells_;

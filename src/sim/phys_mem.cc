@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cstring>
+#include <new>
 
 namespace fbufs {
 
@@ -11,8 +12,11 @@ PhysMem::PhysMem(std::uint32_t frames, SimClock* clock, const CostParams* costs,
       clock_(clock),
       costs_(costs),
       stats_(stats),
-      arena_(static_cast<std::size_t>(frames) * kPageSize),
+      arena_(static_cast<std::uint8_t*>(std::calloc(frames, kPageSize))),
       refcount_(frames, 0) {
+  if (arena_ == nullptr) {
+    throw std::bad_alloc();
+  }
   free_list_.reserve(frames);
   // Hand frames out in ascending order: push in reverse so pop_back yields 0 first.
   for (std::uint32_t i = frames; i > 0; --i) {
@@ -56,12 +60,12 @@ std::uint32_t PhysMem::RefCount(FrameId frame) const {
 
 std::uint8_t* PhysMem::Data(FrameId frame) {
   assert(frame < total_frames_);
-  return arena_.data() + static_cast<std::size_t>(frame) * kPageSize;
+  return arena_.get() + static_cast<std::size_t>(frame) * kPageSize;
 }
 
 const std::uint8_t* PhysMem::Data(FrameId frame) const {
   assert(frame < total_frames_);
-  return arena_.data() + static_cast<std::size_t>(frame) * kPageSize;
+  return arena_.get() + static_cast<std::size_t>(frame) * kPageSize;
 }
 
 }  // namespace fbufs

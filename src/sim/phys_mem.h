@@ -8,6 +8,8 @@
 #define SRC_SIM_PHYS_MEM_H_
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -23,8 +25,11 @@ constexpr FrameId kInvalidFrame = static_cast<FrameId>(-1);
 
 class PhysMem {
  public:
-  // |frames| page frames of backing store. The arena is allocated up front;
-  // ~64 MB at the default 16384 frames.
+  // |frames| page frames of backing store (64 MB at the default 16384). The
+  // arena is reserved zero-filled but faulted in lazily: the OS supplies a
+  // zero page on a frame's first touch, so untouched frames cost neither
+  // set-up time nor resident memory. Throws std::bad_alloc when the
+  // reservation fails.
   PhysMem(std::uint32_t frames, SimClock* clock, const CostParams* costs, SimStats* stats);
 
   PhysMem(const PhysMem&) = delete;
@@ -63,7 +68,12 @@ class PhysMem {
   SimClock* clock_;
   const CostParams* costs_;
   SimStats* stats_;
-  std::vector<std::uint8_t> arena_;
+  struct FreeDeleter {
+    void operator()(std::uint8_t* p) const { std::free(p); }
+  };
+  // calloc, not a value-initialized vector: the vector would write (and so
+  // fault in) every page before the first event.
+  std::unique_ptr<std::uint8_t[], FreeDeleter> arena_;
   std::vector<std::uint32_t> refcount_;
   std::vector<FrameId> free_list_;
 };

@@ -53,10 +53,11 @@ TEST_F(FileCacheTest, ReadContentIsDeterministicAndReadable) {
   Message m;
   ASSERT_EQ(cache.Read(3, 7, *app_, &m), Status::kOk);
   EXPECT_EQ(m.length(), 8192u);
-  std::vector<std::uint8_t> data(64);
+  // Every byte of both pages: byte i of the block is (f*37 + b*11 + i) mod 256.
+  std::vector<std::uint8_t> data(8192);
   ASSERT_EQ(m.CopyOut(*app_, 0, data.data(), data.size()), Status::kOk);
   for (std::uint64_t i = 0; i < data.size(); ++i) {
-    EXPECT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i));
+    ASSERT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i)) << "byte " << i;
   }
   // The application cannot scribble on the cache.
   EXPECT_EQ(m.Touch(*app_, Access::kWrite), Status::kProtection);

@@ -2,6 +2,7 @@
 // invariant), the metrics registry, and the Chrome-trace exporter.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -170,6 +171,68 @@ TEST(Attribution, ActorAndPathScopesTagCells) {
   clock.Advance(2);
   EXPECT_EQ(attr.ByDomain(3), 11u);
   EXPECT_EQ(attr.ByPath(7), 11u);
+}
+
+// Scope edges only drop the cached cell pointers; a cell is resolved when a
+// charge lands. Every context change must steer the next work and wait charge
+// to its own (layer, domain, path, cpu) cell, whether or not anything was
+// charged since the previous change, and cells no charge reached must not exist.
+TEST(Attribution, CellsFollowContextChangesWithoutCharges) {
+  SimClock clock;
+  Attribution attr;
+  clock.SetChargeHook(&Attribution::ClockHook, &attr);
+  std::map<Attribution::Key, SimTime> want;
+  auto work = [&](CostDomain layer, DomainId d, AttrPathId p, std::uint32_t cpu, SimTime ns) {
+    clock.Advance(ns);
+    want[{layer, d, p, cpu}] += ns;
+  };
+  auto wait = [&](DomainId d, AttrPathId p, std::uint32_t cpu, SimTime ns) {
+    clock.AdvanceTo(clock.Now() + ns);
+    want[{CostDomain::kWait, d, p, cpu}] += ns;
+  };
+  constexpr DomainId kNone = kInvalidDomainId;
+  // Resolve both cells of the initial context.
+  work(CostDomain::kOther, kNone, kAttrNoPath, 0, 1);
+  wait(kNone, kAttrNoPath, 0, 2);
+  {
+    ActorScope actor(attr, 3);
+    wait(3, kAttrNoPath, 0, 4);
+    work(CostDomain::kOther, 3, kAttrNoPath, 0, 5);
+    PathScope path(attr, 7);
+    wait(3, 7, 0, 6);
+    LayerScope layer(attr, CostDomain::kFbuf);
+    work(CostDomain::kFbuf, 3, 7, 0, 8);
+    wait(3, 7, 0, 9);  // a layer change does not move waits
+    attr.SetCpu(2);
+    wait(3, 7, 2, 10);
+    work(CostDomain::kFbuf, 3, 7, 2, 11);
+    {
+      // Four changes with no charge between them: only the last context counts.
+      ActorScope actor2(attr, 5);
+      PathScope path2(attr, 8);
+      attr.SetCpu(1);
+      LayerScope layer2(attr, CostDomain::kVm);
+      work(CostDomain::kVm, 5, 8, 1, 12);
+      wait(5, 8, 1, 13);
+    }
+    // Actor and path restored by their scopes; the cpu lane is not scoped.
+    wait(3, 7, 1, 14);
+    work(CostDomain::kFbuf, 3, 7, 1, 15);
+    attr.SetCpu(0);
+  }
+  work(CostDomain::kOther, kNone, kAttrNoPath, 0, 16);
+  wait(kNone, kAttrNoPath, 0, 17);
+
+  EXPECT_EQ(attr.total(), clock.Now());
+  EXPECT_EQ(attr.cells().size(), want.size());
+  for (const auto& [key, ns] : want) {
+    SCOPED_TRACE(std::string(CostDomainName(key.layer)) + " domain " +
+                 std::to_string(key.domain) + " path " + std::to_string(key.path) + " cpu " +
+                 std::to_string(key.cpu));
+    auto it = attr.cells().find(key);
+    ASSERT_NE(it, attr.cells().end());
+    EXPECT_EQ(it->second, ns);
+  }
 }
 
 // --- Metrics -----------------------------------------------------------------

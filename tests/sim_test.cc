@@ -1,7 +1,9 @@
 // Unit tests for the sim substrate: clock, cost model, physical memory, rng.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
@@ -152,6 +154,39 @@ TEST(PhysMem, DataIsPersistentAcrossFrames) {
   pm.Data(*b)[0] = 0xbb;
   EXPECT_EQ(pm.Data(*a)[0], 0xaa);
   EXPECT_EQ(pm.Data(*b)[0], 0xbb);
+}
+
+// Frames handed out without clearing (clear == false, e.g. a disk-DMA
+// target) must still read zero the first time round: a fresh arena is
+// zero-filled even though its pages are faulted in lazily. 16384 frames is
+// a Machine's default 64 MB arena.
+TEST(PhysMem, FreshUnclearedFramesReadZeroAndAreWritable) {
+  SimClock clock;
+  CostParams costs = CostParams::DecStation5000();
+  SimStats stats;
+  constexpr std::uint32_t kFrames = 16384;
+  PhysMem pm(kFrames, &clock, &costs, &stats);
+  std::vector<FrameId> frames;
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    auto f = pm.Allocate(false);
+    ASSERT_TRUE(f.has_value());
+    frames.push_back(*f);
+  }
+  EXPECT_EQ(clock.Now(), 0u);
+  EXPECT_EQ(stats.pages_cleared, 0u);
+  for (const FrameId f : {frames.front(), frames.back()}) {
+    std::uint8_t* data = pm.Data(f);
+    for (std::uint64_t i = 0; i < kPageSize; ++i) {
+      ASSERT_EQ(data[i], 0) << "frame " << f << " byte " << i;
+    }
+    std::memset(data, 0x5a, kPageSize);
+  }
+  for (const FrameId f : {frames.front(), frames.back()}) {
+    const std::uint8_t* data = pm.Data(f);
+    for (std::uint64_t i = 0; i < kPageSize; ++i) {
+      ASSERT_EQ(data[i], 0x5a) << "frame " << f << " byte " << i;
+    }
+  }
 }
 
 TEST(Rng, DeterministicAcrossInstances) {
