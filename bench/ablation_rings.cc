@@ -161,8 +161,6 @@ PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
   // keeps the JSON (with per-path ring-occupancy slices) for the report.
   const std::map<AttrPathId, SimTime> occupancy = hub.PathOccupancyNs();
   AttributionJsonOptions opts;
-  opts.per_path = true;
-  opts.per_cpu = true;
   if (ringed) {
     opts.per_path_ring_occupancy = &occupancy;
   }

@@ -4,7 +4,6 @@
 #define BENCH_BENCH_UTIL_H_
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -18,7 +17,6 @@
 #include "src/fbuf/fbuf_system.h"
 #include "src/ipc/rpc.h"
 #include "src/obs/metrics.h"
-#include "src/sim/event_loop.h"
 #include "src/sim/rng.h"
 #include "src/vm/machine.h"
 
@@ -238,10 +236,7 @@ class ParetoGenerator {
 // sweeps can be diffed and plotted without scraping text.
 class JsonReport {
  public:
-  explicit JsonReport(std::string name)
-      : name_(std::move(name)),
-        wall_start_(std::chrono::steady_clock::now()),
-        events_start_(EventLoop::TotalDispatched()) {}
+  explicit JsonReport(std::string name) : name_(std::move(name)) {}
 
   JsonReport& BeginRow() {
     rows_.emplace_back();
@@ -292,24 +287,6 @@ class JsonReport {
     for (const auto& [key, raw] : sections_) {
       std::fprintf(f, ",\n  \"%s\": %s", key.c_str(), raw.c_str());
     }
-    // Simulator self-throughput: host wall-clock and event-loop dispatch
-    // rate since this report was constructed. Nondeterministic by nature, so
-    // it is confined to one line — with the separating comma ON that line —
-    // such that CI's strip (grep -v) leaves a file byte-identical to one
-    // written without the section at all.
-    {
-      const double wall_ms =
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - wall_start_)
-              .count();
-      const std::uint64_t events = EventLoop::TotalDispatched() - events_start_;
-      const double per_sec =
-          wall_ms > 0.0 ? static_cast<double>(events) * 1000.0 / wall_ms : 0.0;
-      std::fprintf(f,
-                   "\n  ,\"sim_throughput\": {\"host_wall_ms\": %.3f, "
-                   "\"events_dispatched\": %llu, \"events_per_sec\": %.6g}",
-                   wall_ms, static_cast<unsigned long long>(events), per_sec);
-    }
     std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path.c_str());
@@ -324,33 +301,19 @@ class JsonReport {
     std::string str;
   };
   std::string name_;
-  std::chrono::steady_clock::time_point wall_start_;
-  std::uint64_t events_start_;
   std::vector<std::vector<Entry>> rows_;
   std::vector<std::pair<std::string, std::string>> sections_;
 };
 
 // --- Time attribution --------------------------------------------------------
 
-// Optional extras for TimeAttributionJson. The defaults reproduce the
-// historical section byte-for-byte, so frozen BENCH_*.json files never move.
+// Optional extras for TimeAttributionJson, each its own section after the
+// fixed by_layer / by_path / by_cpu split.
 struct AttributionJsonOptions {
-  // Emit "by_path": attributed ns per I/O path ("none" = untagged charges).
-  bool per_path = false;
-  // Emit "by_cpu": one entry per CPU lane, each hard-checked against that
-  // lane's clock (per-lane conservation, exact to the nanosecond).
-  bool per_cpu = false;
-  // When >= 0, emit "dispatch_wait_ns": aggregate dispatch-queue wait. Wait
-  // is queueing latency (work parked while its lane served someone else),
-  // not CPU time, so it is reported beside the by_layer split, not in it.
-  long long dispatch_wait_ns = -1;
-  // When non-null, "by_path" entries become objects carrying latency slices
-  // next to the attributed CPU time: per-path dispatch-queue wait
-  // (Dispatcher::PathWaitNs) and per-path ring occupancy (time descriptors
-  // sat in a transfer-ring SQ, RingHub::PathOccupancyNs). Both are latency,
-  // not CPU time, so they sit beside "ns", never inside it. With both null
-  // the historical flat {"path": ns} format is emitted, so frozen
-  // BENCH_*.json files never move.
+  // When non-null, emit "dispatch_wait_by_path" (Dispatcher::PathWaitNs)
+  // and "ring_occupancy_by_path" (time descriptors sat in a transfer-ring
+  // SQ, RingHub::PathOccupancyNs). Both are latency, not CPU time, so they
+  // sit beside by_path, never inside it.
   const std::map<AttrPathId, SimTime>* per_path_dispatch_wait = nullptr;
   const std::map<AttrPathId, SimTime>* per_path_ring_occupancy = nullptr;
   // When non-null, emit "by_flow": attributed ns per named flow, where a
@@ -362,13 +325,30 @@ struct AttributionJsonOptions {
       nullptr;
 };
 
+// {"<path>": ns, ...} over the nonzero entries of a path-keyed map; "none"
+// is the untagged path.
+inline std::string PathMapJson(const std::map<AttrPathId, SimTime>& by_path) {
+  std::string out = "{";
+  bool first = true;
+  for (const auto& [p, ns] : by_path) {
+    if (ns == 0) {
+      continue;
+    }
+    out += first ? "" : ", ";
+    out += "\"" + (p == kAttrNoPath ? std::string("none") : std::to_string(p)) +
+           "\": " + std::to_string(ns);
+    first = false;
+  }
+  return out + "}";
+}
+
 // Renders a machine's time-attribution state as a JSON object for a
 // JsonReport "time_attribution" section, after hard-checking conservation:
-// attributed time must equal the sum of the machine's CPU-lane clocks (a
-// single-CPU machine's lane 0 is its host clock, so this is the historical
-// check there). abort() rather than assert(): benches build RelWithDebInfo,
-// where NDEBUG would silence an assert, and a conservation hole must never
-// ship silently inside a BENCH_*.json.
+// attributed time must equal the sum of the machine's CPU-lane clocks, and
+// each lane's attributed time its own lane clock, exact to the nanosecond.
+// abort() rather than assert(): benches build RelWithDebInfo, where NDEBUG
+// would silence an assert, and a conservation hole must never ship silently
+// inside a BENCH_*.json.
 inline std::string TimeAttributionJson(Machine& m,
                                        const AttributionJsonOptions& opts = {}) {
   const Attribution& attr = m.attribution();
@@ -398,65 +378,32 @@ inline std::string TimeAttributionJson(Machine& m,
     out += "\"" + std::string(CostDomainName(d)) + "\": " + std::to_string(ns);
     first = false;
   }
-  out += "}";
-  if (opts.per_path) {
-    // Collect the distinct paths from the cell map (already path-sorted
-    // within a layer, so gather into an ordered set for determinism).
-    std::map<AttrPathId, SimTime> by_path;
-    for (const auto& [key, ns] : attr.cells()) {
-      by_path[key.path] += ns;
+  std::map<AttrPathId, SimTime> by_path;
+  for (const auto& [key, ns] : attr.cells()) {
+    by_path[key.path] += ns;
+  }
+  out += "},\n    \"by_path\": " + PathMapJson(by_path) + ",\n    \"by_cpu\": [";
+  for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
+    const SimTime lane_ns = attr.ByCpu(c);
+    const SimTime lane_clock = m.cpu_clock(c).Now();
+    if (lane_ns != lane_clock) {
+      std::fprintf(stderr,
+                   "per-lane attribution conservation violated on %s cpu%u: "
+                   "attributed %llu ns, lane clock %llu ns\n",
+                   m.name().c_str(), c, static_cast<unsigned long long>(lane_ns),
+                   static_cast<unsigned long long>(lane_clock));
+      std::abort();
     }
-    const bool sliced = opts.per_path_dispatch_wait != nullptr ||
-                        opts.per_path_ring_occupancy != nullptr;
-    if (sliced) {
-      // A path may have queueing latency without attributed CPU time (all
-      // its work parked); make sure such paths still get an entry.
-      if (opts.per_path_dispatch_wait != nullptr) {
-        for (const auto& [p, ns] : *opts.per_path_dispatch_wait) {
-          by_path[p] += 0;
-        }
-      }
-      if (opts.per_path_ring_occupancy != nullptr) {
-        for (const auto& [p, ns] : *opts.per_path_ring_occupancy) {
-          by_path[p] += 0;
-        }
-      }
-    }
-    auto slice_of = [](const std::map<AttrPathId, SimTime>* m,
-                       AttrPathId p) -> SimTime {
-      if (m == nullptr) {
-        return 0;
-      }
-      auto it = m->find(p);
-      return it == m->end() ? 0 : it->second;
-    };
-    out += ",\n    \"by_path\": {";
-    first = true;
-    for (const auto& [p, ns] : by_path) {
-      const SimTime wait = slice_of(opts.per_path_dispatch_wait, p);
-      const SimTime occ = slice_of(opts.per_path_ring_occupancy, p);
-      if (ns == 0 && wait == 0 && occ == 0) {
-        continue;
-      }
-      out += first ? "" : ", ";
-      out += "\"" +
-             (p == kAttrNoPath ? std::string("none") : std::to_string(p)) +
-             "\": ";
-      if (sliced) {
-        out += "{\"ns\": " + std::to_string(ns);
-        if (opts.per_path_dispatch_wait != nullptr) {
-          out += ", \"dispatch_wait_ns\": " + std::to_string(wait);
-        }
-        if (opts.per_path_ring_occupancy != nullptr) {
-          out += ", \"ring_occupancy_ns\": " + std::to_string(occ);
-        }
-        out += "}";
-      } else {
-        out += std::to_string(ns);
-      }
-      first = false;
-    }
-    out += "}";
+    out += (c == 0 ? "" : ", ") + std::to_string(lane_ns);
+  }
+  out += "]";
+  if (opts.per_path_dispatch_wait != nullptr) {
+    out += ",\n    \"dispatch_wait_by_path\": " +
+           PathMapJson(*opts.per_path_dispatch_wait);
+  }
+  if (opts.per_path_ring_occupancy != nullptr) {
+    out += ",\n    \"ring_occupancy_by_path\": " +
+           PathMapJson(*opts.per_path_ring_occupancy);
   }
   if (opts.flows != nullptr) {
     // Regroup the path-keyed cells by flow. Paths claimed by two flows are
@@ -491,27 +438,6 @@ inline std::string TimeAttributionJson(Machine& m,
       out += "\"none\": " + std::to_string(unclaimed);
     }
     out += "}";
-  }
-  if (opts.per_cpu) {
-    out += ",\n    \"by_cpu\": [";
-    for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
-      const SimTime lane_ns = attr.ByCpu(c);
-      const SimTime lane_clock = m.cpu_clock(c).Now();
-      if (lane_ns != lane_clock) {
-        std::fprintf(
-            stderr,
-            "per-lane attribution conservation violated on %s cpu%u: "
-            "attributed %llu ns, lane clock %llu ns\n",
-            m.name().c_str(), c, static_cast<unsigned long long>(lane_ns),
-            static_cast<unsigned long long>(lane_clock));
-        std::abort();
-      }
-      out += (c == 0 ? "" : ", ") + std::to_string(lane_ns);
-    }
-    out += "]";
-  }
-  if (opts.dispatch_wait_ns >= 0) {
-    out += ",\n    \"dispatch_wait_ns\": " + std::to_string(opts.dispatch_wait_ns);
   }
   out += "\n  }";
   return out;

@@ -47,7 +47,6 @@
 // JSON. --smoke scales message counts and fault times down for CI.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -110,10 +109,16 @@ void PrintReport(const CampaignReport& r) {
                     static_cast<unsigned long long>(h.free_list_errors));
       }
     }
-    if (a.has_swp && !a.swp.passed) {
-      std::printf("  [swp: unacked=%u stashed=%llu copied=%llu]", a.swp.unacked,
-                  static_cast<unsigned long long>(a.swp.stashed),
-                  static_cast<unsigned long long>(a.swp.bytes_copied));
+    for (const auto& [flow, c] : a.conversations) {
+      if (!c.passed) {
+        std::printf("  [%s: unacked=%u stashed=%llu copied=%llu pinned=%llu "
+                    "ledger-mismatch=%llu]",
+                    flow.c_str(), c.unacked,
+                    static_cast<unsigned long long>(c.stashed),
+                    static_cast<unsigned long long>(c.bytes_copied),
+                    static_cast<unsigned long long>(c.ledger_pinned),
+                    static_cast<unsigned long long>(c.ledger_mismatch));
+      }
     }
     std::printf("\n");
   }
@@ -164,15 +169,6 @@ class JourneyAudit {
       const LifecycleTracker::Reconciliation rec = e.tracker->Reconcile();
       journeys += e.tracker->journeys().size();
       aborted += rec.aborted;
-      if (std::getenv("JOURNEY_DEBUG") != nullptr) {
-        std::fprintf(stderr,
-                     "[journey-debug] %s %s: journeys=%zu open=%llu ended=%llu "
-                     "aborted=%llu\n",
-                     campaign.c_str(), e.machine->name().c_str(),
-                     e.tracker->journeys().size(),
-                     (unsigned long long)rec.open, (unsigned long long)rec.ended,
-                     (unsigned long long)rec.aborted);
-      }
       if (!rec.passed() || rec.dropped != 0) {
         std::fprintf(stderr,
                      "campaign %s: journey reconciliation failed on %s: "
@@ -352,7 +348,8 @@ CampaignReport RunAckOnlyLoss() {
   ja.Attach(&w.machine);
 
   CampaignRunner cr("ack_only_loss", kSwpSeed, &w.loop);
-  cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
+  cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
+  cr.AttachChannels(&w.fwd, &w.rev);
   cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
 
   FaultSchedule s;
@@ -404,7 +401,8 @@ CampaignReport RunRtoSweep() {
     ja.Attach(&w.machine);
 
     CampaignRunner cr("rto_sweep_point", kSwpSeed, &w.loop);
-    cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
+    cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
+    cr.AttachChannels(&w.fwd, &w.rev);
     cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
     cr.Arm(FaultSchedule{});
 
@@ -513,7 +511,8 @@ CampaignReport RunHoarder() {
   ja.Attach(&w.machine);
 
   CampaignRunner cr("hoarder", kSwpSeed, &w.loop);
-  cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
+  cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
+  cr.AttachChannels(&w.fwd, &w.rev);
   cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
 
   // Before any traffic, a third domain grabs nearly the whole pool in

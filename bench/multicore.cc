@@ -122,18 +122,11 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
   }
 
   // Conservation, checked on every point (TimeAttributionJson aborts on any
-  // violation): total attributed == sum of lane clocks, and with per_cpu
-  // each lane's cells == that lane's clock, nanosecond-exact.
+  // violation): total attributed == sum of lane clocks, and each lane's
+  // cells == that lane's clock, nanosecond-exact.
   AttributionJsonOptions opts;
-  opts.per_path = true;
-  opts.per_cpu = true;
-  opts.dispatch_wait_ns =
-      rx->dispatcher != nullptr
-          ? static_cast<long long>(rx->dispatcher->TotalWaitNs())
-          : 0;
   if (rx->dispatcher != nullptr) {
-    // Slice the queueing delay by submitting path: "by_path" entries become
-    // {"ns", "dispatch_wait_ns"} objects, CPU time beside parked latency.
+    // The queueing delay by submitting path, beside by_path's CPU time.
     opts.per_path_dispatch_wait = &rx->dispatcher->PathWaitNs();
   }
   const std::string attr = TimeAttributionJson(rx->machine, opts);

@@ -14,7 +14,9 @@
 //   * under memory pressure (tight physical pool; misses that cannot stage
 //     a block take the degraded copy path, pinned blocks ride it out);
 //   * under fire (a client link flaps dark mid-download; a client's app
-//     domain is destroyed mid-download).
+//     domain is destroyed mid-download);
+//   * open loop, below saturation (one-block requests 8 ms apart), where
+//     no request may complete faster than its response crossed the wire.
 //
 // Every point hard-checks the §3.3 invariant audit on every host (zero
 // leaked frames, refcounts exact, no dangling mappings), zero leftover
@@ -154,6 +156,7 @@ struct RowResult {
   std::uint64_t cache_evictions = 0;
   std::uint64_t pin_blocked_evictions = 0;
   SimTime p50 = 0, p99 = 0, p999 = 0;
+  SimTime min_wire = 0;  // the row's quickest PDU over the network path
   std::string attribution_json;
   // Fbuf provenance on the server machine: journeys recorded and aborted
   // (reconciliation itself is a hard check inside RunRow).
@@ -279,9 +282,7 @@ RowResult RunRow(const RowSpec& spec) {
 
   // Hard checks, every row: §3.3 + pins, conservation, the zero-copy claim.
   AuditWorld(world, spec.variant);
-  AttributionJsonOptions opts;
-  opts.per_cpu = true;
-  r.attribution_json = TimeAttributionJson(world.server().machine, opts);
+  r.attribution_json = TimeAttributionJson(world.server().machine);
 
   // Journey reconciliation next to the §3.3 audit: every ended journey must
   // close with kFree/kAbort and balance its serve pins. Cache-resident
@@ -304,6 +305,8 @@ RowResult RunRow(const RowSpec& spec) {
     std::abort();
   }
   r.latency_json = world.latency().ToJson();
+  const std::vector<SimTime>& wire = world.latency().wire;
+  r.min_wire = wire.empty() ? 0 : *std::min_element(wire.begin(), wire.end());
 
   r.server_bytes_copied = world.server().machine.stats().bytes_copied;
   if (!spec.expect_copies && r.server_bytes_copied != 0) {
@@ -535,6 +538,31 @@ int Main(int argc, char** argv) {
     Report(report, lat_section, spec, r);
     if (r.stats.failed == 0) {
       std::fprintf(stderr, "server[client-churn]: no flow failed\n");
+      std::abort();
+    }
+  }
+  {
+    // Below saturation: one-block requests arrive 8 ms apart, slower than
+    // the server serves them, so none queues. A request still cannot
+    // complete before its response crossed the network, so no latency may
+    // undercut the row's quickest wire sample.
+    RowSpec spec;
+    spec.variant = "open-loop";
+    spec.workload = base;
+    spec.workload.requests = 200;
+    spec.workload.max_blocks = 1;
+    spec.workload.interarrival_ns = 8 * kMillisecond;
+    spec.clients = 4;
+    const RowResult r = RunRow(spec);
+    Report(report, lat_section, spec, r);
+    const SimTime fastest =
+        *std::min_element(r.stats.latencies.begin(), r.stats.latencies.end());
+    if (fastest < r.min_wire) {
+      std::fprintf(stderr,
+                   "server[open-loop]: a request completed in %llu ns, under "
+                   "the quickest wire time %llu ns\n",
+                   static_cast<unsigned long long>(fastest),
+                   static_cast<unsigned long long>(r.min_wire));
       std::abort();
     }
   }

@@ -7,10 +7,10 @@
 // Each sweep point builds one SwpWorld (src/fault/swp_world.h): SWP over
 // two lossy channels on one machine. Retransmission is driven by the
 // discrete-event engine: every transmit arms a real 2 ms retransmission
-// timeout on the EventLoop, and a producer event keeps the window full.
-// Quiescence of the loop is the end of the experiment.
+// timeout on the EventLoop, and the world's FlowDriver keeps the window
+// full, parking on a backoff that starts at one RTO and doubles to a 16 ms
+// cap. Quiescence of the loop is the end of the experiment.
 #include <cstdio>
-#include <functional>
 #include <string>
 
 #include "bench/bench_util.h"
@@ -42,32 +42,7 @@ RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
   constexpr int kMessages = 64;
   constexpr std::uint64_t kBytes = 32 * 1024;
   const SimTime t0 = w.machine.clock().Now();
-  int accepted = 0;
-
-  // The producer keeps the window full: push until kExhausted, then retry
-  // one RTO later (by which time the retransmission timer has fired and any
-  // surviving acks have opened the window). It is not SwpWorld's
-  // FlowDriver, whose park doubles after every refusal: this sweep's rows
-  // are measured under a fixed one-RTO retry.
-  std::function<void()> produce = [&] {
-    while (accepted < kMessages) {
-      Fbuf* fb = nullptr;
-      if (!Ok(w.fsys.Allocate(*w.sender_domain, w.data, kBytes, true, &fb))) {
-        return;
-      }
-      w.sender_domain->TouchRange(fb->base, kBytes, Access::kWrite);
-      const Status st = w.sender.Push(Message::Whole(fb));
-      w.fsys.Free(fb, *w.sender_domain);
-      if (st == Status::kOk) {
-        accepted++;
-      } else {
-        w.loop.ScheduleAtLeast(w.machine.clock().Now() + kRto, "swp-produce",
-                               produce);
-        return;
-      }
-    }
-  };
-  w.loop.Schedule(w.loop.Now(), "swp-produce", produce);
+  w.StartProducer(kMessages, kBytes);
   // Quiescence: producer done, every frame acknowledged, timer gone quiet.
   w.loop.Run();
 

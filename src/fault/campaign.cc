@@ -1,5 +1,6 @@
 #include "src/fault/campaign.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace fbufs {
@@ -37,26 +38,17 @@ const char* FaultKindName(FaultAction::Kind k) {
 }
 
 void CampaignRunner::MarkPhase(const std::string& label) {
-  // One marker per distinct machine: the SWP host is usually also an
-  // audited host, and a duplicate marker would double up in the export.
+  // One marker per distinct machine: a conversation's host is usually also
+  // an audited host, and a duplicate marker would double up in the export.
   std::vector<Machine*> seen;
   for (const AuditedHost& h : audited_) {
     seen.push_back(h.machine);
   }
-  auto add_unique = [&seen](Machine* m) {
-    if (m == nullptr) {
-      return;
-    }
-    for (Machine* s : seen) {
-      if (s == m) {
-        return;
-      }
-    }
-    seen.push_back(m);
-  };
-  add_unique(swp_machine_);
   for (const Conversation& c : conversations_) {
-    add_unique(c.machine);
+    if (c.machine != nullptr &&
+        std::find(seen.begin(), seen.end(), c.machine) == seen.end()) {
+      seen.push_back(c.machine);
+    }
   }
   for (Machine* m : seen) {
     Trace& t = m->trace();
@@ -81,17 +73,11 @@ void CampaignRunner::TakeSample(const std::string& label) {
     }
     s.drops += topo_->switch_drops();
   }
-  if (swp_sink_ != nullptr) {
-    s.delivered += swp_sink_->bytes_received();
-  }
   if (data_channel_ != nullptr) {
     s.drops += data_channel_->dropped();
   }
   if (ack_channel_ != nullptr) {
     s.drops += ack_channel_->dropped();
-  }
-  if (swp_sender_ != nullptr) {
-    s.retransmissions += swp_sender_->retransmissions();
   }
   for (const Conversation& c : conversations_) {
     if (c.sink != nullptr) {
@@ -108,9 +94,6 @@ Machine* CampaignRunner::MachineFor(const FaultAction& a) {
   if (a.node != kNoNode && topo_ != nullptr) {
     SimHost* h = topo_->host(a.node);
     return h != nullptr ? &h->machine : nullptr;
-  }
-  if (swp_machine_ != nullptr) {
-    return swp_machine_;
   }
   return conversations_.empty() ? nullptr : conversations_.front().machine;
 }
@@ -137,7 +120,7 @@ void CampaignRunner::Apply(const FaultAction& a) {
       break;
     }
     case FaultAction::Kind::kAckPathOnlyLoss: {
-      assert(ack_channel_ != nullptr && "ack-path loss needs an SWP world");
+      assert(ack_channel_ != nullptr && "ack-path loss needs attached channels");
       const std::uint32_t prev = ack_channel_->drop_percent();
       ack_channel_->set_drop_percent(a.percent);
       if (a.duration > 0) {
@@ -195,26 +178,19 @@ void CampaignRunner::Arm(const FaultSchedule& schedule) {
 
 void CampaignRunner::ScheduleAudit(SimTime at, const std::string& label) {
   loop_->Schedule(at, "audit/" + label,
-                  [this, label] { RunAudit(label, /*include_swp=*/false); });
+                  [this, label] { RunAudit(label, /*final=*/false); });
 }
 
-void CampaignRunner::RunAudit(const std::string& label, bool include_swp) {
+void CampaignRunner::RunAudit(const std::string& label, bool final) {
   CampaignReport::AuditEntry e;
   e.label = label;
   e.at_ns = loop_->Now();
-  bool passed = !audited_.empty() || (include_swp && swp_sender_ != nullptr) ||
-                (include_swp && !conversations_.empty());
+  bool passed = !audited_.empty() || (final && !conversations_.empty());
   for (const AuditedHost& h : audited_) {
     e.hosts.push_back(InvariantAuditor::AuditHost(h.label, *h.machine, *h.fsys));
     passed = passed && e.hosts.back().passed;
   }
-  if (include_swp && swp_sender_ != nullptr) {
-    e.swp = InvariantAuditor::AuditSwp(*swp_sender_, *swp_receiver_,
-                                       *swp_machine_);
-    e.has_swp = true;
-    passed = passed && e.swp.passed;
-  }
-  if (include_swp) {
+  if (final) {
     for (const Conversation& c : conversations_) {
       e.conversations.emplace_back(
           c.label, InvariantAuditor::AuditSwp(*c.sender, *c.receiver, *c.machine));
@@ -230,7 +206,7 @@ CampaignReport CampaignRunner::Finish() {
   finished_ = true;
   TakeSample("end");
   MarkPhase("campaign/end");
-  RunAudit("final", /*include_swp=*/true);
+  RunAudit("final", /*final=*/true);
 
   for (std::size_t i = 0; i + 1 < samples_.size(); ++i) {
     const Sample& a = samples_[i];

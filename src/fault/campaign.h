@@ -8,18 +8,20 @@
 // snapshots delivered bytes / drops / retransmissions, so Finish() can cut
 // the run into per-phase goodput deltas. Audits — mid-campaign or final —
 // run the InvariantAuditor over every attached host; the final audit also
-// checks the SWP conversation when one is attached (quiescence is the only
-// time a clean window is required).
+// checks every attached conversation (quiescence is the only time a clean
+// window is required).
 //
-// Three world flavors are supported, matching the campaign styles:
+// A campaign attaches what its world has:
 //   * AttachTopology: faults address links/switches/hosts of a Topology and
 //     goodput is read from the TopologyRunner's flow sinks;
-//   * AttachSwp: a two-peer SWP conversation over LossyChannels —
-//     kAckPathOnlyLoss lives here, because only SWP has the retransmission
-//     machinery that makes pure ack loss recoverable;
-//   * AddConversation (repeatable): many transport conversations over one
-//     fabric — the incast/congestion campaigns, where the final audit also
-//     checks every sender's pinned-retransmit ledger.
+//   * AddConversation (repeatable): one transport conversation each — the
+//     SWP pair, or the many flows of an incast fabric; the final audit
+//     checks every conversation's window, stash and pinned-retransmit
+//     ledger;
+//   * AttachChannels: the SWP pair's two LossyChannels, whose drops join
+//     every sample — kAckPathOnlyLoss turns the ack channel's knob, because
+//     only SWP has the retransmission machinery that makes pure ack loss
+//     recoverable.
 #ifndef SRC_FAULT_CAMPAIGN_H_
 #define SRC_FAULT_CAMPAIGN_H_
 
@@ -50,21 +52,15 @@ class CampaignRunner {
     runner_ = runner;
   }
 
-  void AttachSwp(Transport* sender, Transport* receiver,
-                 LossyChannel* data_channel, LossyChannel* ack_channel,
-                 SinkProtocol* sink, Machine* machine) {
-    swp_sender_ = sender;
-    swp_receiver_ = receiver;
+  // The SWP pair's data- and ack-direction channels.
+  void AttachChannels(LossyChannel* data_channel, LossyChannel* ack_channel) {
     data_channel_ = data_channel;
     ack_channel_ = ack_channel;
-    swp_sink_ = sink;
-    swp_machine_ = machine;
   }
 
-  // Multi-flow campaigns (incast worlds): each conversation is one
-  // sender/receiver transport pair with its own sink. Samples sum their
-  // goodput and retransmissions; the final audit checks every conversation's
-  // window, stash, and pinned-retransmit ledger.
+  // Each conversation is one sender/receiver transport pair with its own
+  // sink. Samples sum their goodput and retransmissions; the final audit
+  // checks every conversation's window, stash, and pinned-retransmit ledger.
   void AddConversation(const std::string& label, Transport* sender,
                        Transport* receiver, SinkProtocol* sink,
                        Machine* machine) {
@@ -82,8 +78,8 @@ class CampaignRunner {
   // takes the campaign's opening sample. Call before running traffic.
   void Arm(const FaultSchedule& schedule);
 
-  // Schedules a mid-campaign host audit (SWP is excluded: an open window
-  // mid-flow is normal, not a wedge).
+  // Schedules a mid-campaign host audit (conversations are excluded: an
+  // open window mid-flow is normal, not a wedge).
   void ScheduleAudit(SimTime at, const std::string& label);
 
   // Campaign-specific verdict recorded alongside the audits.
@@ -92,7 +88,7 @@ class CampaignRunner {
   }
 
   // After the traffic ran the loop to quiescence: closes the last phase,
-  // runs the final audit (with the SWP wedge check when attached), and
+  // runs the final audit (with every conversation's wedge check), and
   // yields the finished report.
   CampaignReport Finish();
 
@@ -125,7 +121,7 @@ class CampaignRunner {
   // the fault schedule alongside the kernel spans.
   void MarkPhase(const std::string& label);
   void Apply(const FaultAction& a);
-  void RunAudit(const std::string& label, bool include_swp);
+  void RunAudit(const std::string& label, bool final);
   Machine* MachineFor(const FaultAction& a);
 
   EventLoop* loop_;
@@ -134,12 +130,8 @@ class CampaignRunner {
   Topology* topo_ = nullptr;
   TopologyRunner* runner_ = nullptr;
 
-  Transport* swp_sender_ = nullptr;
-  Transport* swp_receiver_ = nullptr;
   LossyChannel* data_channel_ = nullptr;
   LossyChannel* ack_channel_ = nullptr;
-  SinkProtocol* swp_sink_ = nullptr;
-  Machine* swp_machine_ = nullptr;
 
   std::vector<Conversation> conversations_;
   std::vector<AuditedHost> audited_;

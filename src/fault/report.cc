@@ -95,13 +95,6 @@ std::string CampaignReport::ToJson() const {
          << (h + 1 < a.hosts.size() ? "," : "") << "\n";
     }
     os << "     ]";
-    if (a.has_swp) {
-      os << ",\n     \"swp\": {\"window_wedged\": " << Bool(a.swp.window_wedged)
-         << ", \"unacked\": " << a.swp.unacked
-         << ", \"stashed\": " << Num(a.swp.stashed)
-         << ", \"bytes_copied\": " << Num(a.swp.bytes_copied)
-         << ", \"passed\": " << Bool(a.swp.passed) << "}";
-    }
     if (!a.conversations.empty()) {
       os << ",\n     \"conversations\": [\n";
       for (std::size_t c = 0; c < a.conversations.size(); ++c) {

@@ -28,7 +28,7 @@ class CampaignReport {
     std::uint64_t delivered_bytes = 0;  // sink bytes during the phase
     double goodput_mbps = 0;
     std::uint64_t drops = 0;            // link + switch + channel drops
-    std::uint64_t retransmissions = 0;  // SWP campaigns
+    std::uint64_t retransmissions = 0;  // conversation campaigns
   };
 
   struct ScheduledFault {
@@ -43,9 +43,7 @@ class CampaignReport {
     std::string label;
     SimTime at_ns = 0;
     std::vector<HostAuditResult> hosts;
-    bool has_swp = false;
-    SwpAuditResult swp;
-    // Multi-conversation campaigns: one audit per conversation, labelled.
+    // Final audits: one per attached conversation, labelled.
     std::vector<std::pair<std::string, SwpAuditResult>> conversations;
     bool passed = false;
   };

@@ -6,7 +6,7 @@
 // directions — that independence is what makes kAckPathOnlyLoss a precise
 // instrument), a sink, and the FlowDriver that keeps the window full on the
 // event loop. The swp_goodput bench, the campaigns and the tests all build
-// this one conversation (the bench with its own fixed-RTO producer).
+// this one conversation and drive it with that one producer.
 #ifndef SRC_FAULT_SWP_WORLD_H_
 #define SRC_FAULT_SWP_WORLD_H_
 

@@ -292,8 +292,6 @@ class FbufSystem {
   // Destroys free-listed fbufs owned by |d| until |pages_needed| pages were
   // released (or none remain). Returns pages released.
   std::uint64_t ShrinkDomainFreeLists(DomainId d, std::uint64_t pages_needed);
-  Status CarveFbuf(Allocator& a, Domain& originator, std::uint64_t pages, std::uint64_t bytes,
-                   bool want_volatile, Fbuf** out);
   // Re-materializes any reclaimed pages of a free-listed fbuf being reused.
   Status EnsureMaterialized(Fbuf* fb);
   Status SecureInternal(Fbuf* fb);

@@ -183,6 +183,10 @@ void ServeWorld::DeliverRequest(std::uint64_t id) {
   assert(n > 0);
 
   SimHost& srv = server();
+  // The server handles the request no earlier than it arrived (or, on a
+  // ParkRetry re-entry, than the retry fired); below saturation its clock
+  // trails the loop.
+  srv.machine.clock().AdvanceToAtLeast(loop_.Now());
   const SimTime before = srv.machine.clock().Now();
   Fbuf* fb = nullptr;
   Status st = srv.fsys.Allocate(*frontend_dom_, request_path_, n,

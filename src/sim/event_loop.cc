@@ -2,13 +2,6 @@
 
 namespace fbufs {
 
-namespace {
-// Single-threaded simulator: a plain counter is enough.
-std::uint64_t g_total_dispatched = 0;
-}  // namespace
-
-std::uint64_t EventLoop::TotalDispatched() { return g_total_dispatched; }
-
 EventLoop::EventId EventLoop::Schedule(SimTime t, std::string label, Handler fn) {
   assert(t >= now_ && "EventLoop::Schedule: event behind the dispatch floor");
   const EventId id = next_seq_++;
@@ -49,7 +42,6 @@ bool EventLoop::RunOne() {
   now_ = e.time;
   HashDispatch(e);
   dispatched_++;
-  g_total_dispatched++;
   e.fn();
   return true;
 }

@@ -88,11 +88,6 @@ class EventLoop {
   std::uint64_t events_dispatched() const { return dispatched_; }
   std::uint64_t events_cancelled() const { return cancelled_total_; }
 
-  // Process-wide dispatch counter across every EventLoop instance: the
-  // simulator's own throughput signal (events/sec of host wall-clock in the
-  // benches' sim_throughput sections). Monotonic over the process lifetime.
-  static std::uint64_t TotalDispatched();
-
   // FNV-1a over (time, seq, label) of every dispatched event.
   std::uint64_t trace_hash() const { return trace_hash_; }
 

@@ -1,9 +1,13 @@
 // Tests for the deterministic heavy-tail workload generators: the exact
 // first draws are pinned (byte-identical benches across platforms depend on
-// it), plus distribution-shape sanity checks.
+// it), plus distribution-shape sanity checks. Also pins the one format of
+// the BENCH files' time_attribution section.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -96,6 +100,67 @@ TEST(ParetoGeneratorTest, SameSeedSameSequence) {
   for (int i = 0; i < 256; ++i) {
     EXPECT_EQ(a.Next(), b.Next());
   }
+}
+
+// A 2-CPU machine with fbuf work on path 7 (lane 0) and proto work on
+// path 9 (lane 1).
+class TimeAttributionJsonTest : public ::testing::Test {
+ protected:
+  TimeAttributionJsonTest() : m_(TwoCpus()) {
+    Attribution& a = m_.attribution();
+    {
+      PathScope path(a, 7);
+      LayerScope layer(a, CostDomain::kFbuf);
+      m_.clock().Advance(100);
+    }
+    CpuScope cpu(m_, 1);
+    PathScope path(a, 9);
+    LayerScope layer(a, CostDomain::kProto);
+    m_.clock().Advance(40);
+  }
+
+  static MachineConfig TwoCpus() {
+    MachineConfig c;
+    c.num_cpus = 2;
+    return c;
+  }
+
+  Machine m_;
+};
+
+TEST_F(TimeAttributionJsonTest, EmitsLayerPathAndCpuSplits) {
+  EXPECT_EQ(TimeAttributionJson(m_),
+            "{\n"
+            "    \"clock_ns\": 140,\n"
+            "    \"attributed_ns\": 140,\n"
+            "    \"by_layer\": {\"fbuf\": 100, \"proto\": 40},\n"
+            "    \"by_path\": {\"7\": 100, \"9\": 40},\n"
+            "    \"by_cpu\": [100, 40]\n"
+            "  }");
+}
+
+TEST_F(TimeAttributionJsonTest, LatencyAndFlowSectionsAppearOnlyWhenPassed) {
+  const std::string plain = TimeAttributionJson(m_);
+  EXPECT_EQ(plain.find("dispatch_wait_by_path"), std::string::npos);
+  EXPECT_EQ(plain.find("ring_occupancy_by_path"), std::string::npos);
+  EXPECT_EQ(plain.find("by_flow"), std::string::npos);
+
+  // Zero entries are skipped; the untagged path prints as "none".
+  const std::map<AttrPathId, SimTime> wait = {{7, 5}, {8, 0}, {kAttrNoPath, 3}};
+  const std::map<AttrPathId, SimTime> occupancy = {{9, 12}};
+  const std::vector<std::pair<std::string, std::vector<AttrPathId>>> flows = {
+      {"a", {7}}, {"b", {11}}};
+  AttributionJsonOptions opts;
+  opts.per_path_dispatch_wait = &wait;
+  opts.per_path_ring_occupancy = &occupancy;
+  opts.flows = &flows;
+  // The extras follow the fixed split, which is unchanged ("\n  }" closes).
+  EXPECT_EQ(TimeAttributionJson(m_, opts),
+            plain.substr(0, plain.size() - 4) +
+                ",\n    \"dispatch_wait_by_path\": {\"7\": 5, \"none\": 3},\n"
+                "    \"ring_occupancy_by_path\": {\"9\": 12},\n"
+                "    \"by_flow\": {\"a\": 100, \"b\": 0, \"none\": 40}\n"
+                "  }");
 }
 
 }  // namespace

@@ -254,7 +254,8 @@ TEST(Campaigns, AckPathOnlyLossRecoversWithoutCopies) {
   SwpWorldConfig wc;
   SwpWorld w(wc);
   CampaignRunner cr("test_ack_loss", 0, &w.loop);
-  cr.AttachSwp(&w.sender, &w.receiver, &w.fwd, &w.rev, &w.sink, &w.machine);
+  cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
+  cr.AttachChannels(&w.fwd, &w.rev);
   cr.AddAuditedHost(w.machine.name(), &w.machine, &w.fsys);
 
   FaultSchedule s;
@@ -281,9 +282,17 @@ TEST(Campaigns, AckPathOnlyLossRecoversWithoutCopies) {
   CampaignReport report = cr.Finish();
   EXPECT_TRUE(report.audits_passed());
   const CampaignReport::AuditEntry& final_audit = report.audits().back();
-  ASSERT_TRUE(final_audit.has_swp);
-  EXPECT_FALSE(final_audit.swp.window_wedged);
-  EXPECT_EQ(final_audit.swp.bytes_copied, 0u);
+  ASSERT_EQ(final_audit.conversations.size(), 1u);
+  EXPECT_EQ(final_audit.conversations[0].first, "swp");
+  const SwpAuditResult& swp = final_audit.conversations[0].second;
+  EXPECT_FALSE(swp.window_wedged);
+  EXPECT_EQ(swp.bytes_copied, 0u);
+  // Both channels' drops land in the phase rows, and nothing else does.
+  std::uint64_t phase_drops = 0;
+  for (const CampaignReport::Phase& p : report.phases()) {
+    phase_drops += p.drops;
+  }
+  EXPECT_EQ(phase_drops, w.fwd.dropped() + w.rev.dropped());
 }
 
 TEST(Campaigns, LinkFaultsRestoreTheirPriorValues) {
