@@ -157,6 +157,7 @@ struct RowResult {
   std::uint64_t pin_blocked_evictions = 0;
   SimTime p50 = 0, p99 = 0, p999 = 0;
   SimTime min_wire = 0;  // the row's quickest PDU over the network path
+  SimTime min_pin_hold = 0;  // the row's shortest cache-block pin
   std::string attribution_json;
   // Fbuf provenance on the server machine: journeys recorded and aborted
   // (reconciliation itself is a hard check inside RunRow).
@@ -256,17 +257,19 @@ RowResult RunRow(const RowSpec& spec) {
     case RowSpec::Fault::kClientChurn: {
       // Client 0's app domain dies mid-download and its link flaps dark:
       // every flow on it fails; the abort notices must still release every
-      // pin the server held for them.
+      // pin the server held for them. The teardown runs on client 0, so the
+      // fault wakes that host.
       const LinkId link = world.client_link(0);
-      world.loop().Schedule(mid, "fault/churn", [&world, link] {
-        Trace& t = world.server().machine.trace();
-        if (t.enabled(TraceCategory::kPhase)) {
-          t.Marker(t.Intern("fault/churn/client0"));
-        }
-        SimHost& victim = world.client(0);
-        victim.machine.DestroyDomain(victim.sink->domain()->id());
-        world.topo().link(link).set_drop_percent(100);
-      });
+      SimHost& victim = world.client(0);
+      ScheduleOn(world.loop(), victim.machine, 0, mid, "fault/churn",
+                 [&world, &victim, link] {
+                   Trace& t = world.server().machine.trace();
+                   if (t.enabled(TraceCategory::kPhase)) {
+                     t.Marker(t.Intern("fault/churn/client0"));
+                   }
+                   victim.machine.DestroyDomain(victim.sink->domain()->id());
+                   world.topo().link(link).set_drop_percent(100);
+                 });
       world.loop().Schedule(mid + 20 * kMillisecond, "fault/churn-restore",
                             [&world, link] {
                               world.topo().link(link).set_drop_percent(0);
@@ -307,6 +310,9 @@ RowResult RunRow(const RowSpec& spec) {
   r.latency_json = world.latency().ToJson();
   const std::vector<SimTime>& wire = world.latency().wire;
   r.min_wire = wire.empty() ? 0 : *std::min_element(wire.begin(), wire.end());
+  const std::vector<SimTime>& pins = world.latency().pin_hold;
+  r.min_pin_hold =
+      pins.empty() ? 0 : *std::min_element(pins.begin(), pins.end());
 
   r.server_bytes_copied = world.server().machine.stats().bytes_copied;
   if (!spec.expect_copies && r.server_bytes_copied != 0) {
@@ -545,7 +551,10 @@ int Main(int argc, char** argv) {
     // Below saturation: one-block requests arrive 8 ms apart, slower than
     // the server serves them, so none queues. A request still cannot
     // complete before its response crossed the network, so no latency may
-    // undercut the row's quickest wire sample.
+    // undercut the row's quickest wire sample; nor can a block be unpinned
+    // before its PDU crossed the wire, so no pin_hold sample may either.
+    // That bound holds here because this row parks nothing; in the rings
+    // row a serve that failed and parked legitimately records a short pin.
     RowSpec spec;
     spec.variant = "open-loop";
     spec.workload = base;
@@ -562,6 +571,14 @@ int Main(int argc, char** argv) {
                    "server[open-loop]: a request completed in %llu ns, under "
                    "the quickest wire time %llu ns\n",
                    static_cast<unsigned long long>(fastest),
+                   static_cast<unsigned long long>(r.min_wire));
+      std::abort();
+    }
+    if (r.min_pin_hold < r.min_wire) {
+      std::fprintf(stderr,
+                   "server[open-loop]: a block was pinned for %llu ns, under "
+                   "the quickest wire time %llu ns\n",
+                   static_cast<unsigned long long>(r.min_pin_hold),
                    static_cast<unsigned long long>(r.min_wire));
       std::abort();
     }

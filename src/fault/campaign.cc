@@ -150,8 +150,7 @@ void CampaignRunner::Apply(const FaultAction& a) {
       break;
     }
     case FaultAction::Kind::kTerminateDomain: {
-      Machine* m = MachineFor(a);
-      assert(m != nullptr && "terminate needs a host machine");
+      Machine* m = MachineFor(a);  // non-null: Arm checked it
       const DomainId victim = FindAliveDomain(*m, a.domain);
       assert(victim != kInvalidDomainId && "terminate target not found/alive");
       m->DestroyDomain(victim);
@@ -168,11 +167,19 @@ void CampaignRunner::Arm(const FaultSchedule& schedule) {
         a.label, FaultKindName(a.kind), a.at, a.duration, a.percent});
     // The sample precedes the fault within the same event, so the phase
     // ending here reflects the regime before the knob turned.
-    loop_->Schedule(a.at, "fault/" + a.label, [this, a] {
+    auto fire = [this, a] {
       TakeSample(a.label);
       MarkPhase("fault/" + a.label);
       Apply(a);
-    });
+    };
+    if (a.kind == FaultAction::Kind::kTerminateDomain) {
+      // Teardown runs on the victim's host, so the fault wakes it.
+      Machine* m = MachineFor(a);
+      assert(m != nullptr && "terminate needs a host machine");
+      ScheduleOn(*loop_, *m, 0, a.at, "fault/" + a.label, std::move(fire));
+    } else {
+      loop_->Schedule(a.at, "fault/" + a.label, std::move(fire));
+    }
   }
 }
 

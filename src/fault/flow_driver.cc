@@ -16,7 +16,8 @@ FlowDriver::FlowDriver(FbufSystem* fsys, EventLoop* loop, Domain* sender,
 void FlowDriver::Start(int messages, std::uint64_t bytes) {
   target_ = messages;
   bytes_ = bytes;
-  loop_->Schedule(loop_->Now(), "produce", [this] { Produce(); });
+  ScheduleOn(*loop_, fsys_->machine(), 0, loop_->Now(), "produce",
+             [this] { Produce(); });
 }
 
 void FlowDriver::Produce() {
@@ -61,8 +62,9 @@ void FlowDriver::Produce() {
       return;  // watchdog: no progress inside the horizon — give up
     }
     parks_++;
-    loop_->Schedule(std::max(loop_->Now(), machine.clock().Now()) + *delay,
-                    "produce", [this] { Produce(); });
+    ScheduleOn(*loop_, machine, 0,
+               std::max(loop_->Now(), machine.clock().Now()) + *delay,
+               "produce", [this] { Produce(); });
     return;
   }
 }

@@ -5,10 +5,11 @@
 // flow's data path, written by the sender domain, and pushed into the
 // transport; the producer's own reference always drops, push or no push.
 // A backpressure refusal (window closed, credits spent, congestion, pool or
-// quota exhausted) parks the producer on its FlowBackoff and retries from
-// the event loop, and the backoff's stall watchdog gives up after its
-// no-progress horizon. Any other error fails the producer. A sender domain
-// that dies mid-run ends the flow without failing it.
+// quota exhausted) parks the producer on its FlowBackoff; the retry event
+// wakes the machine (ScheduleOn) once the delay has passed on its clock, and
+// the backoff's stall watchdog gives up after its no-progress horizon. Any
+// other error fails the producer. A sender domain that dies mid-run ends the
+// flow without failing it.
 #ifndef SRC_FAULT_FLOW_DRIVER_H_
 #define SRC_FAULT_FLOW_DRIVER_H_
 

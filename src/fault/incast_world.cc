@@ -178,21 +178,19 @@ Status IncastWorld::FabricChannel::Push(Message m) {
     return st;
   }
   const SimTime arrival = out.done;
-  world_->loop.ScheduleAtLeast(
-      arrival, "incast-deliver",
+  ScheduleOn(
+      world_->loop, *stack_->machine(), 0, arrival, "incast-deliver",
       [this, m, arrival, marked = out.ecn_marked] {
         if (!domain()->alive()) {
           // The sender died mid-flight: §3.3 cleanup already dropped the
           // references this channel held, so the frame simply never lands.
           return;
         }
-        stack_->machine()->clock().AdvanceToAtLeast(arrival);
         Flow& fl = world_->flow(flow_);
         if (world_->latency_enabled_) {
           // How late the event loop ran the delivery relative to the frame's
           // fabric arrival: receiver-side dispatch latency.
-          const SimTime now = stack_->machine()->clock().Now();
-          fl.lat.dispatch.push_back(now >= arrival ? now - arrival : 0);
+          fl.lat.dispatch.push_back(stack_->machine()->clock().Now() - arrival);
         }
         if (marked) {
           // Out-of-band ECN: the mark arrives with the frame (fbufs are
@@ -219,11 +217,9 @@ Status IncastWorld::AckChannel::Push(Message m) {
     return st;
   }
   Machine& mach = *stack_->machine();
-  const SimTime arrival = mach.clock().Now() + kAckDelay;
-  world_->loop.ScheduleAtLeast(
-      arrival, "incast-ack",
-      [this, m, arrival] {
-        stack_->machine()->clock().AdvanceToAtLeast(arrival);
+  ScheduleOn(
+      world_->loop, mach, 0, mach.clock().Now() + kAckDelay, "incast-ack",
+      [this, m] {
         Flow& fl = world_->flow(flow_);
         if (!fl.sender->aborted() && fl.sender_domain->alive()) {
           SendUpTo(fl.sender.get(), m);

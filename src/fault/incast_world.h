@@ -75,8 +75,9 @@ class IncastWorld {
   IncastWorld& operator=(const IncastWorld&) = delete;
 
   // The one-way data fabric below one sender transport: Topology::Traverse
-  // over the flow's hops, then an evented delivery to the receiver
-  // transport (with the ECN mark, when a switch raised one). Drops anywhere
+  // over the flow's hops, then a delivery event that wakes the machine at
+  // the frame's arrival (ScheduleOn) and hands it to the receiver transport
+  // (with the ECN mark, when a switch raised one). Drops anywhere
   // on the path eat the frame silently — recovering it is the transport's
   // job.
   class FabricChannel : public Protocol {

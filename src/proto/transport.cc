@@ -142,21 +142,19 @@ void Transport::ArmTimer() {
     return;
   }
   timer_pending_ = true;
-  // The timeout matures RTO nanoseconds of *sender* time from now; the
-  // loop's dispatch floor may already be past that (host timelines are only
-  // partially ordered), so clamp the event key, never the deadline.
-  const SimTime deadline = stack_->machine()->clock().Now() + rto_;
-  timer_id_ = loop_->ScheduleAtLeast(deadline, "swp-rto", [this, deadline] {
-    timer_pending_ = false;
-    if (outstanding_.empty()) {
-      return;  // defensive: a full ack should have cancelled this event
-    }
-    timer_fires_++;
-    // The interrupt fires once the sender's own clock reaches the deadline.
-    stack_->machine()->clock().AdvanceToAtLeast(deadline);
-    Tick();
-    ArmTimer();
-  });
+  // The timeout matures RTO nanoseconds of *sender* time from now, and the
+  // interrupt wakes the sender's host no earlier than that deadline.
+  Machine& machine = *stack_->machine();
+  timer_id_ = ScheduleOn(
+      *loop_, machine, 0, machine.clock().Now() + rto_, "swp-rto", [this] {
+        timer_pending_ = false;
+        if (outstanding_.empty()) {
+          return;  // defensive: a full ack should have cancelled this event
+        }
+        timer_fires_++;
+        Tick();
+        ArmTimer();
+      });
 }
 
 Status Transport::Tick() {

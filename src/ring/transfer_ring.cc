@@ -36,10 +36,6 @@ TransferRing::TransferRing(Machine* machine, FbufSystem* fsys, Rpc* rpc,
   slots_.resize(cfg_.sq_slots);
 }
 
-SimTime TransferRing::KeyNow() const {
-  return std::max(loop_->Now(), machine_->clock().Now());
-}
-
 void TransferRing::SampleDepth() {
   MetricsRegistry* m = machine_->metrics();
   if (m != nullptr) {
@@ -113,13 +109,15 @@ void TransferRing::ArmFlushTimer() {
     return;
   }
   flush_timer_armed_ = true;
-  loop_->Schedule(KeyNow() + cfg_.flush_delay_ns, "ring-flush/" + name_,
-                  [this] {
-                    flush_timer_armed_ = false;
-                    if (!dead_ && state_ == State::kIdle && !SqEmpty()) {
-                      RingDoorbell(true);
-                    }
-                  });
+  const SimTime at =
+      std::max(loop_->Now(), machine_->clock().Now()) + cfg_.flush_delay_ns;
+  ScheduleOn(*loop_, *machine_, machine_->active_cpu(), at,
+             "ring-flush/" + name_, [this] {
+               flush_timer_armed_ = false;
+               if (!dead_ && state_ == State::kIdle && !SqEmpty()) {
+                 RingDoorbell(true);
+               }
+             });
 }
 
 void TransferRing::RingDoorbell(bool from_flush) {
@@ -171,8 +169,8 @@ void TransferRing::ScheduleDrain(SimTime ready) {
     d->RunInDomain(consumer_, ready, "ring-drain/" + name_,
                    [this] { DrainPass(); });
   } else {
-    loop_->ScheduleAtLeast(std::max(ready, machine_->clock().Now()),
-                           "ring-drain/" + name_, [this] { DrainPass(); });
+    ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
+               "ring-drain/" + name_, [this] { DrainPass(); });
   }
 }
 
@@ -240,8 +238,8 @@ void TransferRing::ScheduleCompletions(std::vector<Completion> batch,
   if (d != nullptr && machine_->num_cpus() > 1) {
     d->RunInDomain(producer_, ready, "ring-complete/" + name_, std::move(run));
   } else {
-    loop_->ScheduleAtLeast(std::max(ready, machine_->clock().Now()),
-                           "ring-complete/" + name_, std::move(run));
+    ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
+               "ring-complete/" + name_, std::move(run));
   }
 }
 

@@ -144,9 +144,6 @@ class TransferRing {
   void ScheduleCompletions(std::vector<Completion> batch, SimTime ready);
   void HarvestCompletions(std::vector<Completion>& batch);
   void SampleDepth();
-  // Event keys must not run behind the loop's floor; lane clocks and the
-  // loop clock are only partially ordered.
-  SimTime KeyNow() const;
 
   Machine* machine_;
   FbufSystem* fsys_;

@@ -183,9 +183,9 @@ void ServeWorld::DeliverRequest(std::uint64_t id) {
   assert(n > 0);
 
   SimHost& srv = server();
-  // The server handles the request no earlier than it arrived (or, on a
-  // ParkRetry re-entry, than the retry fired); below saturation its clock
-  // trails the loop.
+  // The server handles the request no earlier than it arrived. Written by
+  // hand, not left to ScheduleOn: IssueFromQueue also enters here from
+  // inside another host's event (a client delivery finishing a request).
   srv.machine.clock().AdvanceToAtLeast(loop_.Now());
   const SimTime before = srv.machine.clock().Now();
   Fbuf* fb = nullptr;
@@ -213,7 +213,7 @@ void ServeWorld::DeliverRequest(std::uint64_t id) {
   if (!Ok(st)) {
     if (IsBackpressure(st)) {
       // Ring SQ full or the request-fbuf pool exhausted: park, resubmit.
-      ParkRetry(id, "reqpark/" + std::to_string(id),
+      ParkRetry(id, srv.machine, "reqpark/" + std::to_string(id),
                 [this, id] { DeliverRequest(id); });
     } else {
       FailRequest(id, st);
@@ -243,14 +243,15 @@ void ServeWorld::OnServed(const FileServer::Served& served) {
       // Out of memory mid-serve: park the whole request and resubmit it
       // (the retry re-enters Pop with the same request line).
       const std::uint64_t id = served.request_id;
-      ParkRetry(id, "servepark/" + std::to_string(id), [this, id] {
-        auto pit = pending_.find(id);
-        if (pit == pending_.end()) {
-          return;
-        }
-        pit->second.serve_seen = false;
-        DeliverRequest(id);
-      });
+      ParkRetry(id, server().machine, "servepark/" + std::to_string(id),
+                [this, id] {
+                  auto pit = pending_.find(id);
+                  if (pit == pending_.end()) {
+                    return;
+                  }
+                  pit->second.serve_seen = false;
+                  DeliverRequest(id);
+                });
     } else {
       FailRequest(served.request_id, served.status);
     }
@@ -319,11 +320,13 @@ void ServeWorld::WirePdu(std::uint64_t id, SimHost::StagedPdu pdu) {
     // PDU's whole time on the network path.
     lat_.wire.push_back(rx_dma_done - pdu.ready);
   }
-  loop_.ScheduleAtLeast(rx_dma_done, "deliver/" + std::to_string(id),
-                        [this, id, payload = std::move(pdu.payload),
-                         rx_dma_done]() mutable {
-                          DeliverPduEvent(id, std::move(payload), rx_dma_done);
-                        });
+  // The client CPU picks the PDU up no earlier than its DMA completion; it
+  // may already be past that point serving another delivery.
+  ScheduleOn(loop_, client(it->second.spec.client).machine, 0, rx_dma_done,
+             "deliver/" + std::to_string(id),
+             [this, id, payload = std::move(pdu.payload), rx_dma_done]() mutable {
+               DeliverPduEvent(id, std::move(payload), rx_dma_done);
+             });
 }
 
 void ServeWorld::DeliverPduEvent(std::uint64_t id,
@@ -336,11 +339,8 @@ void ServeWorld::DeliverPduEvent(std::uint64_t id,
   Pending& p = it->second;
   SimHost& rx = client(p.spec.client);
   SimClock& clock = rx.machine.clock();
-  // The client CPU picks the PDU up no earlier than its DMA completion; it
-  // may already be past that point serving another delivery.
-  clock.AdvanceToAtLeast(rx_dma_done);
   const SimTime before = clock.Now();
-  if (latency_enabled_ && before >= rx_dma_done) {
+  if (latency_enabled_) {
     // How far past DMA completion the client CPU got around to the PDU.
     lat_.dispatch.push_back(before - rx_dma_done);
   }
@@ -351,7 +351,7 @@ void ServeWorld::DeliverPduEvent(std::uint64_t id,
     if (IsBackpressure(st)) {
       // The client could not buffer the PDU: park the delivery and retry
       // with the same payload.
-      ParkRetry(id, "rxpark/" + std::to_string(id),
+      ParkRetry(id, rx.machine, "rxpark/" + std::to_string(id),
                 [this, id, payload = std::move(payload), rx_dma_done]() mutable {
                   DeliverPduEvent(id, std::move(payload), rx_dma_done);
                 });
@@ -424,19 +424,20 @@ void ServeWorld::FailRequest(std::uint64_t id, Status st) {
 void ServeWorld::ScheduleNotice(std::uint64_t id, bool failed) {
   // The dealloc notice (or, for a dead flow, the kernel's failure notice)
   // rides back over the otherwise idle reverse channel: one cell's worth
-  // of latency, and only then do the server's pins drop.
-  loop_.ScheduleIn(server().machine.costs().WireTime(kCellPayloadBytes),
-                   (failed ? std::string("abort-notice/")
-                           : std::string("dealloc-notice/")) + std::to_string(id),
-                   [this, id, failed] {
-                     // kNotFound is fine: a serve that failed inside Pop
-                     // already released its pins there.
-                     if (failed) {
-                       file_server_->AbortRequest(id);
-                     } else {
-                       file_server_->CompleteRequest(id);
-                     }
-                   });
+  // of latency, and only then, on the server's clock, do its pins drop.
+  const SimTime cell = server().machine.costs().WireTime(kCellPayloadBytes);
+  ScheduleOn(loop_, server().machine, 0, loop_.Now() + cell,
+             (failed ? std::string("abort-notice/")
+                     : std::string("dealloc-notice/")) + std::to_string(id),
+             [this, id, failed] {
+               // kNotFound is fine: a serve that failed inside Pop already
+               // released its pins there.
+               if (failed) {
+                 file_server_->AbortRequest(id);
+               } else {
+                 file_server_->CompleteRequest(id);
+               }
+             });
 }
 
 void ServeWorld::IssueFromQueue() {
@@ -447,8 +448,8 @@ void ServeWorld::IssueFromQueue() {
   }
 }
 
-void ServeWorld::ParkRetry(std::uint64_t id, const std::string& label,
-                           EventLoop::Handler retry) {
+void ServeWorld::ParkRetry(std::uint64_t id, Machine& host,
+                           const std::string& label, EventLoop::Handler retry) {
   auto it = pending_.find(id);
   if (it == pending_.end()) {
     return;
@@ -461,7 +462,7 @@ void ServeWorld::ParkRetry(std::uint64_t id, const std::string& label,
     return;
   }
   stats_.parks++;
-  loop_.ScheduleIn(*delay, label, std::move(retry));
+  ScheduleOn(loop_, host, 0, loop_.Now() + *delay, label, std::move(retry));
 }
 
 }  // namespace fbufs

@@ -10,14 +10,15 @@
 // pushes down its stack come out of the driver as staged PDUs; the world
 // carries each over the client's leg with Topology::Carry (TX DMA, the
 // client's link with its drops, RX DMA), the pipeline TopologyRunner uses,
-// and delivers its payload into the client's receive stack.
+// and wakes the client with ScheduleOn at RX DMA completion to deliver its
+// payload into the client's receive stack.
 //
 // Flow lifecycle (§3.3): a request completes when its last PDU is delivered
 // (or accounted dropped); the client's dealloc notice rides back one cell
-// time later and only then does FileServer unpin the request's cache
-// blocks. A failed flow (dead client domain, stalled backpressure) takes
-// the same notice path through AbortRequest, so pins never leak no matter
-// how the flow ends.
+// time later and wakes the server, and only then does FileServer unpin the
+// request's cache blocks. A failed flow (dead client domain, stalled
+// backpressure) takes the same notice path through AbortRequest, so pins
+// never leak no matter how the flow ends.
 #ifndef SRC_SERVE_SERVE_WORLD_H_
 #define SRC_SERVE_SERVE_WORLD_H_
 
@@ -162,7 +163,8 @@ class ServeWorld {
   // Schedules the dealloc notice (one cell time) that releases the pins.
   void ScheduleNotice(std::uint64_t id, bool failed);
   void IssueFromQueue();
-  void ParkRetry(std::uint64_t id, const std::string& label,
+  // Parks |id| on its backoff; |retry| wakes |host| when the delay expires.
+  void ParkRetry(std::uint64_t id, Machine& host, const std::string& label,
                  EventLoop::Handler retry);
 
   ServeWorldConfig cfg_;

@@ -154,7 +154,9 @@ class DispatchQueue {
       enter_();
     }
     // Idle until the item's ready time (DMA completion, message arrival):
-    // attributed as wait on the lane's own timeline.
+    // attributed as wait on the lane's own timeline. The queue owns arrival
+    // on its lane: a wake that advanced the lane before the pump ran would
+    // push |start| of earlier-ready queued items late.
     lane_->clock().AdvanceToAtLeast(start);
     const SimTime before = lane_->clock().Now();
     item.work();

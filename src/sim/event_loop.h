@@ -52,9 +52,6 @@ class EventLoop {
   // Schedules |fn| to run at |t|. The queue is monotonic: scheduling behind
   // the dispatch floor is a bug in the caller's timeline arithmetic.
   EventId Schedule(SimTime t, std::string label, Handler fn);
-  EventId ScheduleIn(SimTime delay, std::string label, Handler fn) {
-    return Schedule(now_ + delay, std::move(label), std::move(fn));
-  }
   // Schedules |fn| at |t|, or at the dispatch floor when |t| lies behind it.
   // A time computed from a host clock or a resource's busy-until can trail
   // the floor (host timelines are only partially ordered), so clamp the

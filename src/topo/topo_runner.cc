@@ -18,14 +18,15 @@ void TopologyRunner::ScheduleSenderStep(std::size_t flow) {
     return;
   }
   step_pending_[flow] = true;
+  // The whole step runs on the flow's send lane (lane 0 on 1-CPU hosts).
   SimHost& tx = TxHost(flow);
-  loop_->ScheduleAtLeast(
-      tx.machine.cpu_clock(run.tx_cpu).Now(),
-      "send/" + std::to_string(flow) + "/" + std::to_string(run.next),
-      [this, flow] {
-        step_pending_[flow] = false;
-        SenderStep(flow);
-      });
+  ScheduleOn(*loop_, tx.machine, run.tx_cpu,
+             tx.machine.cpu_clock(run.tx_cpu).Now(),
+             "send/" + std::to_string(flow) + "/" + std::to_string(run.next),
+             [this, flow] {
+               step_pending_[flow] = false;
+               SenderStep(flow);
+             });
 }
 
 void TopologyRunner::SenderStep(std::size_t flow) {
@@ -35,8 +36,6 @@ void TopologyRunner::SenderStep(std::size_t flow) {
   }
   const std::uint32_t window = flows_[flow].window;
   SimHost& tx = TxHost(flow);
-  // The whole step runs on the flow's send lane (a no-op on 1-CPU hosts).
-  CpuScope cpu_scope(tx.machine, run.tx_cpu);
   SimClock& tx_clock = tx.machine.cpu_clock(run.tx_cpu);
   const std::uint64_t m = run.next;
 
@@ -53,6 +52,7 @@ void TopologyRunner::SenderStep(std::size_t flow) {
     run.tx_busy = 0;
   }
   if (window > 0 && m >= window) {
+    // A window credit inside the step, not an event: wait for the slot's ack.
     tx_clock.AdvanceToAtLeast(run.ack_time[m - window]);
   }
 
@@ -101,59 +101,50 @@ void TopologyRunner::RunLeg(std::size_t flow, std::size_t leg_i,
     return;
   }
   const SimTime rx_dma_done = out.done;
-  if (leg_i + 1 == legs.size()) {
-    loop_->ScheduleAtLeast(
-        rx_dma_done,
-        "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, msg, payload = std::move(pdu.payload), rx_dma_done]() mutable {
-          DeliverEvent(flow, msg, std::move(payload), rx_dma_done);
-        });
-  } else {
-    loop_->ScheduleAtLeast(
-        rx_dma_done,
-        "relay/" + std::to_string(flow) + "/" + std::to_string(msg),
-        [this, flow, leg_i, msg, payload = std::move(pdu.payload),
-         rx_dma_done]() mutable {
-          RelayEvent(flow, leg_i, msg, std::move(payload), rx_dma_done);
-        });
-  }
-}
-
-void TopologyRunner::DeliverEvent(std::size_t flow, std::uint64_t msg,
-                                  std::vector<std::uint8_t> payload,
-                                  SimTime rx_dma_done) {
-  FlowRun& run = runs_[flow];
-  if (run.failed) {
+  const std::string id = std::to_string(flow) + "/" + std::to_string(msg);
+  if (leg_i + 1 < legs.size()) {
+    // RSS: a multicore relay services this leg's VCI on a fixed lane.
+    SimHost& relay = *topo_->host(legs[leg_i].rx);
+    const std::uint32_t relay_cpu =
+        RssSteer(legs[leg_i].vci, relay.machine.num_cpus());
+    ScheduleOn(*loop_, relay.machine, relay_cpu, rx_dma_done, "relay/" + id,
+               [this, flow, leg_i, msg, payload = std::move(pdu.payload)] {
+                 RelayEvent(flow, leg_i, msg, payload);
+               });
     return;
   }
   SimHost& rx = RxHost(flow);
   if (rx.machine.num_cpus() > 1) {
-    DeliverMulticore(flow, msg, std::move(payload), rx_dma_done);
+    // A plain event: the PDU queues on the flow's RSS lane behind other
+    // flows sharing it, and that dispatch queue owns arrival there (and
+    // books the lane's busy time). Its start = max(ready, lane clock) would
+    // start earlier-ready queued items late if this event advanced the lane
+    // first.
+    assert(rx.dispatcher != nullptr && "multicore receiver without a dispatcher");
+    loop_->ScheduleAtLeast(
+        rx_dma_done, "deliver/" + id,
+        [this, &rx, flow, msg, id, payload = std::move(pdu.payload),
+         rx_dma_done]() mutable {
+          if (runs_[flow].failed) {
+            return;
+          }
+          rx.dispatcher->RunOnCpu(
+              runs_[flow].rx_cpu, rx_dma_done, "deliver/" + id,
+              [this, flow, msg, payload = std::move(payload)] {
+                if (!runs_[flow].failed) {
+                  Deliver(flow, msg, payload, nullptr);  // active lane = rx_cpu
+                }
+              });
+        });
     return;
   }
-  // The receiving CPU picks the PDU up no earlier than its DMA completion;
-  // it may already be past that point serving another delivery.
-  rx.machine.clock().AdvanceToAtLeast(rx_dma_done);
-  Deliver(flow, msg, payload, &rx.cpu);
-}
-
-void TopologyRunner::DeliverMulticore(std::size_t flow, std::uint64_t msg,
-                                      std::vector<std::uint8_t> payload,
-                                      SimTime rx_dma_done) {
-  FlowRun& run = runs_[flow];
-  SimHost& rx = RxHost(flow);
-  assert(rx.dispatcher != nullptr && "multicore receiver without a dispatcher");
-  // RSS steering: every PDU of this flow is serviced on run.rx_cpu. The
-  // dispatch queue serializes it behind other flows hashed to the same lane;
-  // the lane's RecordBusy is performed by the queue itself.
-  rx.dispatcher->RunOnCpu(
-      run.rx_cpu, rx_dma_done,
-      "deliver/" + std::to_string(flow) + "/" + std::to_string(msg),
-      [this, flow, msg, payload = std::move(payload)] {
-        if (!runs_[flow].failed) {
-          Deliver(flow, msg, payload, nullptr);  // active lane = rx_cpu
-        }
-      });
+  ScheduleOn(*loop_, rx.machine, runs_[flow].rx_cpu, rx_dma_done,
+             "deliver/" + id,
+             [this, &rx, flow, msg, payload = std::move(pdu.payload)] {
+               if (!runs_[flow].failed) {
+                 Deliver(flow, msg, payload, &rx.cpu);
+               }
+             });
 }
 
 void TopologyRunner::Deliver(std::size_t flow, std::uint64_t msg,
@@ -182,21 +173,16 @@ void TopologyRunner::Deliver(std::size_t flow, std::uint64_t msg,
 
 void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
                                 std::uint64_t msg,
-                                std::vector<std::uint8_t> payload,
-                                SimTime rx_dma_done) {
+                                const std::vector<std::uint8_t>& payload) {
   FlowRun& run = runs_[flow];
   if (run.failed) {
     return;
   }
   const Leg& leg = flows_[flow].legs[leg_i];
   SimHost& relay = *topo_->host(leg.rx);
-  // RSS: a multicore relay services this leg's VCI on a fixed lane.
-  const std::uint32_t relay_cpu = RssSteer(leg.vci, relay.machine.num_cpus());
-  CpuScope cpu_scope(relay.machine, relay_cpu);
-  SimClock& clock = relay.machine.cpu_clock(relay_cpu);
-  clock.AdvanceToAtLeast(rx_dma_done);
-
-  const SimTime before = clock.Now();
+  // The leg's RSS lane, which RunLeg woke through ScheduleOn.
+  CpuLane& lane = relay.machine.cpu_lane(relay.machine.active_cpu());
+  const SimTime before = lane.clock().Now();
   // Into fbufs, up to the relay protocol, and straight back down onto the
   // second adapter — the forwarded PDUs land in relay.staged.
   const Status st =
@@ -205,8 +191,7 @@ void TopologyRunner::RelayEvent(std::size_t flow, std::size_t leg_i,
     run.failed = true;
     return;
   }
-  const SimTime after = clock.Now();
-  relay.machine.cpu_lane(relay_cpu).RecordBusy(before, after);
+  lane.RecordBusy(before, lane.clock().Now());
 
   // This leg's PDU is consumed; whatever the out-driver staged continues on
   // the next leg under the same message. The consumed PDU is decremented

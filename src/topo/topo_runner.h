@@ -8,9 +8,11 @@
 // event at either the final receiver (sink delivery, "deliver/<flow>/<msg>")
 // or a relay host ("relay/<flow>/<msg>"), which receives the PDU into fbufs,
 // forwards fbuf-to-fbuf across its domains onto the second adapter, and the
-// next leg carries what it staged. Dropped PDUs (lossy link, full switch
-// queue) are counted and still complete their message's flow-control
-// accounting, so the sender window never hangs on loss.
+// next leg carries what it staged. Each arrival wakes its host on its RSS
+// lane through ScheduleOn, except at a multicore receiver, whose dispatch
+// queue owns arrival. Dropped PDUs (lossy link, full switch queue)
+// are counted and still complete their message's flow-control accounting,
+// so the sender window never hangs on loss.
 //
 // The two-host Testbed is the one-link special case: with a single leg and
 // a single hop this runner executes exactly the historical testbed schedule
@@ -127,13 +129,6 @@ class TopologyRunner {
   // event (deliver on the last leg, relay otherwise) or records the drop.
   void RunLeg(std::size_t flow, std::size_t leg, std::uint64_t msg,
               SimHost::StagedPdu pdu);
-  void DeliverEvent(std::size_t flow, std::uint64_t msg,
-                    std::vector<std::uint8_t> payload, SimTime rx_dma_done);
-  // Multicore receive path: enqueues the delivery on the receiver host's
-  // dispatcher, pinned to the flow's RSS lane. Queueing delay behind other
-  // flows sharing the lane is measured by the dispatch queue.
-  void DeliverMulticore(std::size_t flow, std::uint64_t msg,
-                        std::vector<std::uint8_t> payload, SimTime rx_dma_done);
   // Hands one PDU to the receiver's driver on the active CPU lane, adds the
   // lane time to the flow's receive accounting (and to |cpu|, when given: a
   // dispatcher lane books its own), and completes the message on its last
@@ -141,7 +136,7 @@ class TopologyRunner {
   void Deliver(std::size_t flow, std::uint64_t msg,
                const std::vector<std::uint8_t>& payload, Resource* cpu);
   void RelayEvent(std::size_t flow, std::size_t leg, std::uint64_t msg,
-                  std::vector<std::uint8_t> payload, SimTime rx_dma_done);
+                  const std::vector<std::uint8_t>& payload);
   void PduDropped(std::size_t flow, std::uint64_t msg);
   void CompleteMessage(std::size_t flow, std::uint64_t msg);
 

@@ -9,8 +9,8 @@
 // simulated time, work on one lane is serial. Exactly one lane is *active*
 // at any moment of simulation (the simulator itself is single-threaded);
 // clock(), trace timestamps and physical-memory charges all route to the
-// active lane. Code that runs work on a specific CPU brackets it with
-// CpuScope (or lets a DispatchQueue's context hooks do it). With the default
+// active lane. Work on a specific CPU runs under CpuScope, is woken there by
+// ScheduleOn, or lets a DispatchQueue's context hooks switch. With the default
 // num_cpus == 1 nothing ever switches, lane 0's clock is the machine clock,
 // and every pre-multicore number is reproduced bit for bit.
 #ifndef SRC_VM_MACHINE_H_
@@ -27,6 +27,7 @@
 #include "src/sim/clock.h"
 #include "src/sim/cost_model.h"
 #include "src/sim/dispatch.h"
+#include "src/sim/event_loop.h"
 #include "src/sim/phys_mem.h"
 #include "src/sim/stats.h"
 #include "src/sim/trace.h"
@@ -159,6 +160,22 @@ class CpuScope {
   Machine* m_;
   std::uint32_t prev_;
 };
+
+// The one way to wake a host: runs |fn| on lane |cpu| of |machine| at |t|,
+// keyed like EventLoop::ScheduleAtLeast. The lane's clock first moves up to
+// |t| (a lane already past it stays put), inside the CpuScope so the wait is
+// attributed to |cpu|. Events that wake no host use the loop directly.
+template <typename Fn>
+EventLoop::EventId ScheduleOn(EventLoop& loop, Machine& machine,
+                              std::uint32_t cpu, SimTime t, std::string label,
+                              Fn fn) {
+  return loop.ScheduleAtLeast(
+      t, std::move(label), [&machine, cpu, t, fn = std::move(fn)]() mutable {
+        CpuScope scope(machine, cpu);
+        machine.cpu_clock(cpu).AdvanceToAtLeast(t);
+        fn();
+      });
+}
 
 }  // namespace fbufs
 

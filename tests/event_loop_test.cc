@@ -37,7 +37,7 @@ TEST(EventLoop, HandlersScheduleMoreWork) {
   int fired = 0;
   std::function<void()> chain = [&] {
     if (++fired < 5) {
-      loop.ScheduleIn(100, "chain", chain);
+      loop.Schedule(loop.Now() + 100, "chain", chain);
     }
   };
   loop.Schedule(0, "chain", chain);

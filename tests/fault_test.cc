@@ -1,12 +1,14 @@
 // Fault-injection subsystem tests: knob clamping, leak-audit accessors,
 // dead-domain guards, campaign determinism, and §3.3 cleanup under fire —
-// including domain termination with fbufs in flight across a relay chain.
+// including domain termination with fbufs in flight across a relay chain —
+// plus the causality of the single-machine harness worlds under loss.
 #include <cstring>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/fault/campaign.h"
+#include "src/fault/incast_world.h"
 #include "src/fault/swp_world.h"
 #include "src/topo/topo_config.h"
 
@@ -479,6 +481,50 @@ TEST(SwpBackpressure, StallWatchdogFailsTheProducerInsteadOfSpinning) {
   EXPECT_FALSE(w.producer_failed());
   EXPECT_EQ(w.accepted(), 0);
   EXPECT_GE(w.producer_parks(), 1u);
+}
+
+// --- Causality: a host never trails its own events ---------------------------
+
+// Dispatches |loop| one event at a time and counts the events after which
+// |machine|'s clock trails the loop's dispatch floor: work the host ran
+// before its input arrived. Every host wake goes through ScheduleOn, so a
+// single-machine world must never trail.
+std::uint64_t EventsBehindTheLoop(EventLoop& loop, const Machine& machine) {
+  std::uint64_t behind = 0;
+  std::uint64_t events = 0;
+  while (loop.RunOne()) {
+    events++;
+    if (machine.clock().Now() < loop.Now()) {
+      behind++;
+    }
+  }
+  EXPECT_GT(events, 0u);
+  return behind;
+}
+
+TEST(Causality, SwpWorldUnderLossNeverTrailsItsEvents) {
+  SwpWorldConfig wc;
+  wc.fwd_loss = 40;
+  wc.rev_loss = 40;
+  SwpWorld w(wc);
+  w.StartProducer(64, 32 * 1024);
+  EXPECT_EQ(EventsBehindTheLoop(w.loop, w.machine), 0u);
+  EXPECT_EQ(w.accepted(), 64);
+}
+
+TEST(Causality, IncastCreditAndAimdWorldsNeverTrailTheirEvents) {
+  for (const TransportKind kind : {TransportKind::kCredit, TransportKind::kAimd}) {
+    IncastWorldConfig cfg;
+    cfg.kind = kind;
+    cfg.racks = 1;
+    cfg.senders_per_rack = 2;
+    cfg.ecn_threshold_pdus = kind == TransportKind::kAimd ? 8 : 0;
+    IncastWorld w(cfg);
+    w.StartProducers(16, 8 * kPageSize);
+    EXPECT_EQ(EventsBehindTheLoop(w.loop, w.machine), 0u)
+        << TransportKindName(kind);
+    EXPECT_EQ(w.total_accepted(), 32u) << TransportKindName(kind);
+  }
 }
 
 }  // namespace

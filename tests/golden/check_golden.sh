@@ -6,8 +6,10 @@
 #
 #   check_golden.sh <bench binary> <golden dir> [bench args...]
 #
-# A change that moves a number regenerates the golden directory from the
-# bench's new output, TRACE_*.json dropped, and says why.
+# A mismatching file fails the check and prints the first 40 lines of its
+# unified diff against the golden copy. A change that moves a number
+# regenerates the golden directory from the bench's new output, TRACE_*.json
+# dropped, and says why.
 set -eu
 bench=$(cd "$(dirname "$1")" && pwd)/$(basename "$1")
 golden=$(cd "$2" && pwd)
@@ -26,7 +28,9 @@ for f in "$golden"/*; do
   if [ ! -e "$name" ]; then
     echo "missing output: $name"
     status=1
-  elif ! cmp "$f" "$name"; then
+  elif ! cmp -s "$f" "$name"; then
+    echo "mismatch: $name"
+    diff -u "$f" "$name" | head -n 40
     status=1
   fi
 done

@@ -72,6 +72,72 @@ TEST(DispatchQueue, ReadyTimeIsHonored) {
   EXPECT_EQ(q.total_wait_ns(), 0u);
 }
 
+// --- ScheduleOn: the one way to wake a host ----------------------------------
+
+// Per-lane conservation: everything each lane's clock accumulated, waits
+// included, is attributed to that lane.
+void ExpectLanesConserved(const Machine& m) {
+  for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
+    EXPECT_EQ(m.attribution().ByCpu(c), m.cpu_clock(c).Now()) << "lane " << c;
+  }
+}
+
+TEST(ScheduleOn, WakesItsLaneAtItsTimeAndRestoresTheActiveLane) {
+  Machine m(Multicore(2));
+  EventLoop loop;
+  m.cpu_clock(0).Advance(100);
+  bool ran = false;
+  ScheduleOn(loop, m, 1, 500, "wake", [&] {
+    ran = true;
+    EXPECT_EQ(m.active_cpu(), 1u);
+    EXPECT_EQ(m.clock().Now(), 500u);
+    m.clock().Advance(50);  // the handler's work lands on lane 1 too
+  });
+  loop.Run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(loop.Now(), 500u);
+  EXPECT_EQ(m.active_cpu(), 0u);
+  EXPECT_EQ(m.cpu_clock(0).Now(), 100u);
+  EXPECT_EQ(m.cpu_clock(1).Now(), 550u);
+  // The 500 ns wait was charged on lane 1, inside the lane switch.
+  ExpectLanesConserved(m);
+  EXPECT_EQ(m.attribution().ByLayer(CostDomain::kWait), 500u);
+}
+
+TEST(ScheduleOn, BehindTheFloorDispatchesAtTheFloorButAdvancesOnlyToT) {
+  Machine m(Multicore(2));
+  EventLoop loop;
+  loop.Schedule(1000, "floor", [] {});
+  loop.Run();
+  SimTime dispatched_at = 0;
+  SimTime lane_at = 0;
+  ScheduleOn(loop, m, 1, 300, "late", [&] {
+    dispatched_at = loop.Now();
+    lane_at = m.clock().Now();
+  });
+  loop.Run();
+  EXPECT_EQ(dispatched_at, 1000u);
+  EXPECT_EQ(lane_at, 300u);
+  EXPECT_EQ(m.cpu_clock(0).Now(), 0u);
+  ExpectLanesConserved(m);
+}
+
+TEST(ScheduleOn, ALaneAlreadyPastTDoesNotMove) {
+  Machine m(Multicore(2));
+  EventLoop loop;
+  {
+    CpuScope busy(m, 1);
+    m.clock().Advance(800);
+  }
+  SimTime lane_at = 0;
+  ScheduleOn(loop, m, 1, 500, "early", [&] { lane_at = m.clock().Now(); });
+  loop.Run();
+  EXPECT_EQ(lane_at, 800u);
+  EXPECT_EQ(m.cpu_clock(1).Now(), 800u);
+  EXPECT_EQ(m.attribution().ByLayer(CostDomain::kWait), 0u);
+  ExpectLanesConserved(m);
+}
+
 TEST(RssSteer, DeterministicAndInRange) {
   for (std::uint32_t lanes : {1u, 2u, 4u, 7u}) {
     for (std::uint32_t vci = 0; vci < 64; ++vci) {
