@@ -16,7 +16,7 @@ namespace {
 
 // Average receive-side CPU cost per PDU with |vcis| active circuits
 // delivering round-robin.
-double PerPduUs(std::uint32_t vcis, std::string* attr_json = nullptr) {
+double PerPduUs(std::uint32_t vcis, Json* attr_json = nullptr) {
   TestbedConfig cfg;
   cfg.placement = StackPlacement::kUserKernel;
   cfg.cached = true;
@@ -82,8 +82,7 @@ double PerPduUs(std::uint32_t vcis, std::string* attr_json = nullptr) {
     rx.driver->DeliverPdu(payload, 100 + (i % vcis), true);
   }
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"receiver\": " + TimeAttributionJson(rx.machine) +
-                 "\n  }";
+    *attr_json = Json::Object{{"receiver", TimeAttributionJson(rx.machine)}};
   }
   return (rx.machine.clock().Now() - before) / 1000.0 / kIters;
 }
@@ -92,7 +91,7 @@ int Main() {
   std::printf("\n=== Ablation A6: adapter path cache (16 MRU VCIs) vs active circuits ===\n");
   std::printf("%14s %16s\n", "active-vcis", "us/PDU (rx)");
   JsonReport report("ablation_pathcache");
-  std::string attr_json;
+  Json attr_json;
   for (const std::uint32_t v : {1u, 4u, 8u, 16u, 17u, 24u, 32u}) {
     // Last point (32 VCIs, cache-thrashing) supplies the breakdown; every
     // point is conservation-checked.
@@ -102,7 +101,7 @@ int Main() {
         .Field("active_vcis", static_cast<double>(v))
         .Field("us_per_pdu_rx", us);
   }
-  report.RawSection("time_attribution", attr_json);
+  report.Section("time_attribution", std::move(attr_json));
   report.Write();
   std::printf(
       "\nreading: up to 16 circuits every PDU reuses a cached per-path fbuf; past the MRU\n"

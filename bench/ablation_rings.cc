@@ -50,8 +50,8 @@ enum class Mode { kSingleDomain, kSync, kRinged };
 // One measurement world. |artifact| non-null on the showcase point: that run
 // records metrics/trace and leaves the attribution + metrics JSON behind.
 struct Artifacts {
-  std::string attribution_json;
-  std::string metrics_json;
+  Json attribution_json;
+  Json metrics_json;
 };
 
 PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
@@ -164,9 +164,9 @@ PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
   if (ringed) {
     opts.per_path_ring_occupancy = &occupancy;
   }
-  const std::string attr = TimeAttributionJson(machine, opts);
+  Json attr = TimeAttributionJson(machine, opts);
   if (artifacts != nullptr && ringed) {
-    artifacts->attribution_json = attr;
+    artifacts->attribution_json = std::move(attr);
     artifacts->metrics_json = metrics.ToJson();
     TraceExporter ex;
     ex.AddHost(machine.name(), 1, machine.trace());
@@ -281,8 +281,8 @@ int Main(int argc, char** argv) {
       "and the mid-size curves climb toward the single-domain ceiling as\n"
       "crossings/transfer -> 1/K.\n");
 
-  report.RawSection("time_attribution", artifacts.attribution_json);
-  report.RawSection("metrics", artifacts.metrics_json);
+  report.Section("time_attribution", std::move(artifacts.attribution_json));
+  report.Section("metrics", std::move(artifacts.metrics_json));
   report.Write();
   return 0;
 }

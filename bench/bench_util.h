@@ -16,7 +16,7 @@
 #include "src/baseline/transfer_facility.h"
 #include "src/fbuf/fbuf_system.h"
 #include "src/ipc/rpc.h"
-#include "src/obs/metrics.h"
+#include "src/obs/json.h"
 #include "src/sim/rng.h"
 #include "src/vm/machine.h"
 
@@ -233,7 +233,9 @@ class ParetoGenerator {
 
 // Machine-readable results: each bench accumulates rows of (key, value)
 // fields and writes them as BENCH_<name>.json next to its stdout table, so
-// sweeps can be diffed and plotted without scraping text.
+// sweeps can be diffed and plotted without scraping text. The document is
+// one Json tree, {"bench", "rows", sections...}, printed by the one writer
+// (src/obs/json.h).
 class JsonReport {
  public:
   explicit JsonReport(std::string name) : name_(std::move(name)) {}
@@ -243,66 +245,37 @@ class JsonReport {
     return *this;
   }
   JsonReport& Field(const std::string& key, double value) {
-    rows_.back().push_back(Entry{key, /*is_number=*/true, value, {}});
+    rows_.back().emplace_back(key, value);
     return *this;
   }
   JsonReport& Field(const std::string& key, const std::string& value) {
-    rows_.back().push_back(Entry{key, /*is_number=*/false, 0, value});
+    rows_.back().emplace_back(key, value);
     return *this;
   }
 
-  // Extra top-level section emitted after "rows". |raw_json| must already be
-  // valid JSON (object, array or scalar); it is written verbatim.
-  JsonReport& RawSection(const std::string& key, std::string raw_json) {
-    sections_.emplace_back(key, std::move(raw_json));
+  // Extra top-level section, written after "rows" in the order added.
+  JsonReport& Section(const std::string& key, Json value) {
+    sections_.emplace_back(key, std::move(value));
     return *this;
   }
 
   // Writes BENCH_<name>.json in the working directory.
   bool Write() const {
     const std::string path = "BENCH_" + name_ + ".json";
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    Json::Object doc{{"bench", name_},
+                     {"rows", Json::Array(rows_.begin(), rows_.end())}};
+    doc.insert(doc.end(), sections_.begin(), sections_.end());
+    if (!WriteJsonFile(path, doc)) {
       return false;
     }
-    std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"rows\": [\n", name_.c_str());
-    for (std::size_t r = 0; r < rows_.size(); ++r) {
-      std::fprintf(f, "    {");
-      for (std::size_t i = 0; i < rows_[r].size(); ++i) {
-        const Entry& e = rows_[r][i];
-        std::fprintf(f, "%s\"%s\": ", i == 0 ? "" : ", ", e.key.c_str());
-        if (e.is_number) {
-          if (e.num == e.num) {  // not NaN
-            std::fprintf(f, "%.10g", e.num);
-          } else {
-            std::fprintf(f, "null");
-          }
-        } else {
-          std::fprintf(f, "\"%s\"", e.str.c_str());
-        }
-      }
-      std::fprintf(f, "}%s\n", r + 1 < rows_.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]");
-    for (const auto& [key, raw] : sections_) {
-      std::fprintf(f, ",\n  \"%s\": %s", key.c_str(), raw.c_str());
-    }
-    std::fprintf(f, "\n}\n");
-    std::fclose(f);
     std::fprintf(stderr, "wrote %s\n", path.c_str());
     return true;
   }
 
  private:
-  struct Entry {
-    std::string key;
-    bool is_number;
-    double num;
-    std::string str;
-  };
   std::string name_;
-  std::vector<std::vector<Entry>> rows_;
-  std::vector<std::pair<std::string, std::string>> sections_;
+  std::vector<Json::Object> rows_;
+  Json::Object sections_;
 };
 
 // --- Time attribution --------------------------------------------------------
@@ -327,30 +300,24 @@ struct AttributionJsonOptions {
 
 // {"<path>": ns, ...} over the nonzero entries of a path-keyed map; "none"
 // is the untagged path.
-inline std::string PathMapJson(const std::map<AttrPathId, SimTime>& by_path) {
-  std::string out = "{";
-  bool first = true;
+inline Json PathMapJson(const std::map<AttrPathId, SimTime>& by_path) {
+  Json::Object out;
   for (const auto& [p, ns] : by_path) {
-    if (ns == 0) {
-      continue;
+    if (ns != 0) {
+      out.emplace_back(p == kAttrNoPath ? std::string("none") : std::to_string(p), ns);
     }
-    out += first ? "" : ", ";
-    out += "\"" + (p == kAttrNoPath ? std::string("none") : std::to_string(p)) +
-           "\": " + std::to_string(ns);
-    first = false;
   }
-  return out + "}";
+  return out;
 }
 
-// Renders a machine's time-attribution state as a JSON object for a
-// JsonReport "time_attribution" section, after hard-checking conservation:
-// attributed time must equal the sum of the machine's CPU-lane clocks, and
-// each lane's attributed time its own lane clock, exact to the nanosecond.
-// abort() rather than assert(): benches build RelWithDebInfo, where NDEBUG
-// would silence an assert, and a conservation hole must never ship silently
+// A machine's time-attribution state as a JSON object for a JsonReport
+// "time_attribution" section, after hard-checking conservation: attributed
+// time must equal the sum of the machine's CPU-lane clocks, and each lane's
+// attributed time its own lane clock, exact to the nanosecond. abort()
+// rather than assert(): benches build RelWithDebInfo, where NDEBUG would
+// silence an assert, and a conservation hole must never ship silently
 // inside a BENCH_*.json.
-inline std::string TimeAttributionJson(Machine& m,
-                                       const AttributionJsonOptions& opts = {}) {
+inline Json TimeAttributionJson(Machine& m, const AttributionJsonOptions& opts = {}) {
   const Attribution& attr = m.attribution();
   SimTime now = 0;
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
@@ -364,25 +331,19 @@ inline std::string TimeAttributionJson(Machine& m,
                  static_cast<unsigned long long>(now));
     std::abort();
   }
-  std::string out = "{\n    \"clock_ns\": " + std::to_string(now) +
-                    ",\n    \"attributed_ns\": " + std::to_string(attr.total()) +
-                    ",\n    \"by_layer\": {";
-  bool first = true;
+  Json::Object by_layer;
   for (int i = 0; i < static_cast<int>(CostDomain::kCount); ++i) {
     const CostDomain d = static_cast<CostDomain>(i);
     const SimTime ns = attr.ByLayer(d);
-    if (ns == 0) {
-      continue;
+    if (ns != 0) {
+      by_layer.emplace_back(CostDomainName(d), ns);
     }
-    out += first ? "" : ", ";
-    out += "\"" + std::string(CostDomainName(d)) + "\": " + std::to_string(ns);
-    first = false;
   }
   std::map<AttrPathId, SimTime> by_path;
   for (const auto& [key, ns] : attr.cells()) {
     by_path[key.path] += ns;
   }
-  out += "},\n    \"by_path\": " + PathMapJson(by_path) + ",\n    \"by_cpu\": [";
+  Json::Array by_cpu;
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const SimTime lane_ns = attr.ByCpu(c);
     const SimTime lane_clock = m.cpu_clock(c).Now();
@@ -394,16 +355,18 @@ inline std::string TimeAttributionJson(Machine& m,
                    static_cast<unsigned long long>(lane_clock));
       std::abort();
     }
-    out += (c == 0 ? "" : ", ") + std::to_string(lane_ns);
+    by_cpu.emplace_back(lane_ns);
   }
-  out += "]";
+  Json::Object out{{"clock_ns", now},
+                   {"attributed_ns", attr.total()},
+                   {"by_layer", std::move(by_layer)},
+                   {"by_path", PathMapJson(by_path)},
+                   {"by_cpu", std::move(by_cpu)}};
   if (opts.per_path_dispatch_wait != nullptr) {
-    out += ",\n    \"dispatch_wait_by_path\": " +
-           PathMapJson(*opts.per_path_dispatch_wait);
+    out.emplace_back("dispatch_wait_by_path", PathMapJson(*opts.per_path_dispatch_wait));
   }
   if (opts.per_path_ring_occupancy != nullptr) {
-    out += ",\n    \"ring_occupancy_by_path\": " +
-           PathMapJson(*opts.per_path_ring_occupancy);
+    out.emplace_back("ring_occupancy_by_path", PathMapJson(*opts.per_path_ring_occupancy));
   }
   if (opts.flows != nullptr) {
     // Regroup the path-keyed cells by flow. Paths claimed by two flows are
@@ -425,36 +388,16 @@ inline std::string TimeAttributionJson(Machine& m,
         per_flow[it->second] += ns;
       }
     }
-    out += ",\n    \"by_flow\": {";
-    first = true;
+    Json::Object by_flow;
     for (std::size_t i = 0; i < opts.flows->size(); ++i) {
-      out += first ? "" : ", ";
-      out += "\"" + (*opts.flows)[i].first +
-             "\": " + std::to_string(per_flow[i]);
-      first = false;
+      by_flow.emplace_back((*opts.flows)[i].first, per_flow[i]);
     }
     if (unclaimed != 0) {
-      out += first ? "" : ", ";
-      out += "\"none\": " + std::to_string(unclaimed);
+      by_flow.emplace_back("none", unclaimed);
     }
-    out += "}";
+    out.emplace_back("by_flow", std::move(by_flow));
   }
-  out += "\n  }";
   return out;
-}
-
-// The common case: attach the machine's whole-run attribution to a report.
-inline void AddTimeAttribution(JsonReport& report, Machine& m,
-                               const AttributionJsonOptions& opts = {}) {
-  report.RawSection("time_attribution", TimeAttributionJson(m, opts));
-}
-
-// Attaches the full metrics registry — counters, gauges, and every log2
-// histogram with its count/p50/p99 summary — as a "metrics" section.
-// MetricsRegistry::ToJson is deterministic (name-ordered, integers only), so
-// double runs of a deterministic bench still cmp byte-identical.
-inline void AddMetricsSummary(JsonReport& report, const MetricsRegistry& m) {
-  report.RawSection("metrics", m.ToJson());
 }
 
 inline void PrintHeader(const std::string& title) {

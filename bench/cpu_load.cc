@@ -60,10 +60,8 @@ int Main() {
     cfg.volatile_fbufs = true;
     Testbed tb(cfg);
     tb.Run(16, 1 << 20, /*warmup=*/2);
-    report.RawSection(
-        "time_attribution",
-        "{\n    \"receiver\": " + TimeAttributionJson(tb.receiver().machine) +
-            "\n  }");
+    report.Section("time_attribution",
+                   Json::Object{{"receiver", TimeAttributionJson(tb.receiver().machine)}});
   }
   report.Write();
   // The paper's headline ("up to 45% CPU reduction or up to 2x throughput")

@@ -50,8 +50,8 @@ struct SweepPoint {
 
 SweepPoint RunPoint(const TopologyConfig& cfg,
                     std::uint64_t message_bytes = 0,
-                    std::string* attr_json = nullptr,
-                    std::string* metrics_json = nullptr) {
+                    Json* attr_json = nullptr,
+                    Json* metrics_json = nullptr) {
   BuiltTopology b = BuildTopology(cfg);
   // Default: single-fragment datagrams (message == one PDU): a shed PDU
   // costs exactly one datagram, so goodput degrades gracefully instead of
@@ -70,9 +70,8 @@ SweepPoint RunPoint(const TopologyConfig& cfg,
   b.topo->host(b.receiver_node)->machine.AttachMetrics(&metrics);
   const MultiResult mr = b.runner->RunFlows(traffic);
   if (attr_json != nullptr) {
-    *attr_json = "{\n    \"receiver\": " +
-                 TimeAttributionJson(b.topo->host(b.receiver_node)->machine) +
-                 "\n  }";
+    *attr_json = Json::Object{
+        {"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}};
   }
   if (metrics_json != nullptr) {
     *metrics_json = metrics.ToJson();
@@ -120,8 +119,8 @@ int Main() {
               "pdu", "offered", "goodput", "drops", "uplink", "port", "trunk",
               "rx-dma", "rx-cpu", "bottleneck");
   JsonReport report("fanin_contention");
-  std::string attr_json;
-  std::string metrics_json;
+  Json attr_json;
+  Json metrics_json;
   for (std::uint64_t pdu : {2 * 1024, 16 * 1024}) {
     for (std::size_t senders : {1, 2, 4, 8}) {
       // The last point (8 senders, 16 KB PDUs) supplies the receiver's
@@ -216,8 +215,8 @@ int Main() {
     }
   }
 
-  report.RawSection("time_attribution", attr_json);
-  report.RawSection("metrics", metrics_json);
+  report.Section("time_attribution", std::move(attr_json));
+  report.Section("metrics", std::move(metrics_json));
   report.Write();
   std::printf("\n%s\n", ok ? "fan-in self-checks passed"
                            : "FAN-IN SELF-CHECK FAILURES (see above)");

@@ -58,11 +58,9 @@ int Main() {
     cfg.volatile_fbufs = true;
     Testbed tb(cfg);
     tb.Run(64, 256 * 1024, /*warmup=*/2);
-    report.RawSection(
-        "time_attribution",
-        "{\n    \"sender\": " + TimeAttributionJson(tb.sender().machine) +
-            ",\n    \"receiver\": " + TimeAttributionJson(tb.receiver().machine) +
-            "\n  }");
+    report.Section("time_attribution",
+                   Json::Object{{"sender", TimeAttributionJson(tb.sender().machine)},
+                                {"receiver", TimeAttributionJson(tb.receiver().machine)}});
   }
   report.Write();
   std::printf(

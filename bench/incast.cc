@@ -58,7 +58,7 @@ struct PointResult {
   // journey ends kFree/kAbort, every pin released, nothing left open).
   std::uint64_t journeys = 0;
   bool journeys_ok = false;
-  std::string latency_json;  // per-point LatencyDecomposition::ToJson()
+  Json latency_json;  // per-point LatencyDecomposition::ToJson()
 };
 
 IncastWorldConfig ConfigFor(TransportKind kind, std::uint32_t fanin) {
@@ -84,7 +84,7 @@ IncastWorldConfig ConfigFor(TransportKind kind, std::uint32_t fanin) {
 }
 
 PointResult RunPoint(TransportKind kind, std::uint32_t fanin, int messages,
-                     std::string* attr_json, bool export_trace) {
+                     Json* attr_json, bool export_trace) {
   PointResult r;
   r.kind = kind;
   r.fanin = fanin;
@@ -229,8 +229,8 @@ int Main(int argc, char** argv) {
               "retx", "drops", "marks", "parks", "audit");
 
   JsonReport json("incast");
-  std::string attr_json;
-  std::string lat_section;  // {"<kind>_fanin<N>": {slices...}, ...}
+  Json attr_json;
+  Json::Object lat_section;  // {"<kind>_fanin<N>": {slices...}, ...}
   std::vector<std::vector<PointResult>> results(kinds.size());
   for (std::size_t k = 0; k < kinds.size(); ++k) {
     for (const std::uint32_t fanin : fanins) {
@@ -264,14 +264,13 @@ int Main(int argc, char** argv) {
           .Field("audit_passed", r.audit_passed ? 1.0 : 0.0)
           .Field("journeys", static_cast<double>(r.journeys))
           .Field("journeys_ok", r.journeys_ok ? 1.0 : 0.0);
-      lat_section += (lat_section.empty() ? "{\n    " : ",\n    ");
-      lat_section += "\"" + std::string(TransportKindName(r.kind)) + "_fanin" +
-                     std::to_string(r.fanin) + "\": " + r.latency_json;
+      lat_section.emplace_back(
+          std::string(TransportKindName(r.kind)) + "_fanin" + std::to_string(r.fanin),
+          r.latency_json);
     }
   }
-  lat_section += "\n  }";
-  json.RawSection("time_attribution", attr_json);
-  json.RawSection("latency_decomposition", lat_section);
+  json.Section("time_attribution", std::move(attr_json));
+  json.Section("latency_decomposition", std::move(lat_section));
   json.Write();
 
   // --- Self-checks: collapse vs graceful degradation --------------------------

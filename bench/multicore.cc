@@ -46,8 +46,8 @@ struct SweepPoint {
 };
 
 struct PointArtifacts {
-  std::string attribution_json;  // receiver, per-path + per-lane breakdown
-  std::string metrics_json;      // receiver metrics (histograms with p50/p99)
+  Json attribution_json;  // receiver, per-path + per-lane breakdown
+  Json metrics_json;      // receiver metrics (histograms with p50/p99)
   bool export_trace = false;
 };
 
@@ -129,9 +129,9 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
     // The queueing delay by submitting path, beside by_path's CPU time.
     opts.per_path_dispatch_wait = &rx->dispatcher->PathWaitNs();
   }
-  const std::string attr = TimeAttributionJson(rx->machine, opts);
+  Json attr = TimeAttributionJson(rx->machine, opts);
   if (artifacts != nullptr) {
-    artifacts->attribution_json = "{\n    \"receiver\": " + attr + "\n  }";
+    artifacts->attribution_json = Json::Object{{"receiver", std::move(attr)}};
     artifacts->metrics_json = metrics.ToJson();
     if (artifacts->export_trace) {
       TraceExporter ex;
@@ -184,8 +184,8 @@ int Main(int argc, char** argv) {
               "wait-max", "bottleneck");
 
   JsonReport report("multicore");
-  std::string attr_json;
-  std::string metrics_json;
+  Json attr_json;
+  Json metrics_json;
   for (std::size_t flows : flow_counts) {
     for (std::uint32_t cpus : cpu_counts) {
       const bool last = flows == flow_counts.back() && cpus == cpu_counts.back();
@@ -193,8 +193,8 @@ int Main(int argc, char** argv) {
       artifacts.export_trace = last;
       const SweepPoint p = RunPoint(flows, cpus, messages, &artifacts);
       if (last) {
-        attr_json = artifacts.attribution_json;
-        metrics_json = artifacts.metrics_json;
+        attr_json = std::move(artifacts.attribution_json);
+        metrics_json = std::move(artifacts.metrics_json);
       }
       std::printf("%6zu %5u %7.1fMb %7.0f%% %7.0f%% %7.0f%% %7llu %8.1fus "
                   "%7.1fus  %s (%.0f%%)\n",
@@ -217,8 +217,8 @@ int Main(int argc, char** argv) {
           .Field("bottleneck_util", p.bottleneck_util);
     }
   }
-  report.RawSection("time_attribution", attr_json);
-  report.RawSection("metrics", metrics_json);
+  report.Section("time_attribution", std::move(attr_json));
+  report.Section("metrics", std::move(metrics_json));
   report.Write();
   return 0;
 }

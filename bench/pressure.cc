@@ -61,8 +61,8 @@ struct PointResult {
 // One sweep point: |n| PDUs through a pool of |pool_frames| with the hoarder
 // holding everything above |headroom| free frames (0 disables the hoarder).
 PointResult RunPoint(std::uint64_t pool_frames, std::uint64_t headroom, std::uint64_t n,
-                     std::string* attr_json = nullptr,
-                     std::string* metrics_json = nullptr) {
+                     Json* attr_json = nullptr,
+                     Json* metrics_json = nullptr) {
   PointResult r;
   r.pool_frames = pool_frames;
   r.headroom = headroom;
@@ -214,8 +214,8 @@ int Main(int argc, char** argv) {
               "degr", "rest");
 
   JsonReport json("pressure");
-  std::string attr_json;
-  std::string metrics_json;
+  Json attr_json;
+  Json metrics_json;
   std::vector<PointResult> results;
   for (const std::uint64_t pool : pools) {
     for (const std::uint64_t headroom : headrooms) {
@@ -253,8 +253,8 @@ int Main(int argc, char** argv) {
           .Field("audit_passed", r.audit_passed ? 1.0 : 0.0);
     }
   }
-  json.RawSection("time_attribution", attr_json);
-  json.RawSection("metrics", metrics_json);
+  json.Section("time_attribution", std::move(attr_json));
+  json.Section("metrics", std::move(metrics_json));
   json.Write();
 
   // --- Self-checks: the degradation must be graceful --------------------------

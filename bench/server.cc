@@ -37,6 +37,7 @@
 
 #include "bench/bench_util.h"
 #include "src/fault/auditor.h"
+#include "src/obs/latency.h"
 #include "src/obs/lifecycle.h"
 #include "src/obs/trace_export.h"
 #include "src/serve/serve_world.h"
@@ -124,15 +125,6 @@ void AuditWorld(ServeWorld& w, const std::string& label) {
   }
 }
 
-SimTime Percentile(std::vector<SimTime> sorted_latencies, int permille) {
-  if (sorted_latencies.empty()) {
-    return 0;
-  }
-  const std::size_t idx =
-      (sorted_latencies.size() - 1) * static_cast<std::size_t>(permille) / 1000;
-  return sorted_latencies[idx];
-}
-
 // --- One measurement row -----------------------------------------------------
 
 struct RowSpec {
@@ -158,12 +150,12 @@ struct RowResult {
   SimTime p50 = 0, p99 = 0, p999 = 0;
   SimTime min_wire = 0;  // the row's quickest PDU over the network path
   SimTime min_pin_hold = 0;  // the row's shortest cache-block pin
-  std::string attribution_json;
+  Json attribution_json;
   // Fbuf provenance on the server machine: journeys recorded and aborted
   // (reconciliation itself is a hard check inside RunRow).
   std::uint64_t journeys = 0;
   std::uint64_t aborted_journeys = 0;
-  std::string latency_json;  // ServeWorld LatencyDecomposition::ToJson()
+  Json latency_json;  // ServeWorld LatencyDecomposition::ToJson()
 };
 
 RowResult RunRow(const RowSpec& spec) {
@@ -341,9 +333,9 @@ RowResult RunRow(const RowSpec& spec) {
 
   std::vector<SimTime> lat = r.stats.latencies;
   std::sort(lat.begin(), lat.end());
-  r.p50 = Percentile(lat, 500);
-  r.p99 = Percentile(lat, 990);
-  r.p999 = Percentile(lat, 999);
+  r.p50 = LatencyDecomposition::Quantile(lat, 0.5);
+  r.p99 = LatencyDecomposition::Quantile(lat, 0.99);
+  r.p999 = LatencyDecomposition::Quantile(lat, 0.999);
   r.cache_evictions = world.cache().evictions();
   r.pin_blocked_evictions = world.cache().pin_blocked_evictions();
 
@@ -398,7 +390,7 @@ RowResult RunRow(const RowSpec& spec) {
   return r;
 }
 
-void Report(JsonReport& report, std::string& lat_section, const RowSpec& spec,
+void Report(JsonReport& report, Json::Object& lat_section, const RowSpec& spec,
             const RowResult& r) {
   std::printf("%-14s %8llu %9llu %7llu %7llu %9.3f %9.1f %9.1f %10.1f %8.1f\n",
               spec.variant.c_str(),
@@ -433,8 +425,7 @@ void Report(JsonReport& report, std::string& lat_section, const RowSpec& spec,
              static_cast<double>(r.pin_blocked_evictions))
       .Field("journeys", static_cast<double>(r.journeys))
       .Field("aborted_journeys", static_cast<double>(r.aborted_journeys));
-  lat_section += (lat_section.empty() ? "{\n    " : ",\n    ");
-  lat_section += "\"" + spec.variant + "\": " + r.latency_json;
+  lat_section.emplace_back(spec.variant, r.latency_json);
 }
 
 int Main(int argc, char** argv) {
@@ -455,8 +446,8 @@ int Main(int argc, char** argv) {
               "p99-ms", "p999-ms", "Mbps");
 
   JsonReport report("server");
-  std::string attribution_json;
-  std::string lat_section;  // {"<variant>": {slices...}, ...}
+  Json attribution_json;
+  Json::Object lat_section;  // {"<variant>": {slices...}, ...}
 
   // Popularity sweep: the hit ratio (and with it latency and goodput) must
   // ride the Zipf exponent — steeper popularity concentrates the working
@@ -591,8 +582,8 @@ int Main(int argc, char** argv) {
       "serves real traffic through the degraded copy path; faults fail flows\n"
       "without leaking a single pin or frame (§3.3 audit on every row).\n");
 
-  report.RawSection("time_attribution", attribution_json);
-  report.RawSection("latency_decomposition", lat_section + "\n  }");
+  report.Section("time_attribution", std::move(attribution_json));
+  report.Section("latency_decomposition", std::move(lat_section));
   report.Write();
   return 0;
 }

@@ -29,8 +29,8 @@ struct RunResult {
   std::uint64_t bytes_copied;
 };
 
-RunResult Run(std::uint32_t drop_percent, std::string* attr_json = nullptr,
-              std::string* metrics_json = nullptr) {
+RunResult Run(std::uint32_t drop_percent, Json* attr_json = nullptr,
+              Json* metrics_json = nullptr) {
   SwpWorldConfig cfg;
   cfg.rto = kRto;
   cfg.fwd_loss = drop_percent;
@@ -65,8 +65,8 @@ int Main() {
   std::printf("%8s %14s %14s %14s %14s\n", "loss-%", "goodput-Mbps", "retx/msg",
               "timer-fires", "bytes-copied");
   JsonReport report("swp_goodput");
-  std::string attr_json;
-  std::string metrics_json;
+  Json attr_json;
+  Json metrics_json;
   for (const std::uint32_t loss : {0u, 5u, 10u, 20u, 40u, 60u}) {
     // The last sweep point's attribution (60% loss: retransmission-heavy)
     // lands in the report; every point is conservation-checked.
@@ -81,8 +81,8 @@ int Main() {
         .Field("timer_fires", static_cast<double>(r.timer_fires))
         .Field("bytes_copied", static_cast<double>(r.bytes_copied));
   }
-  report.RawSection("time_attribution", attr_json);
-  report.RawSection("metrics", metrics_json);
+  report.Section("time_attribution", std::move(attr_json));
+  report.Section("metrics", std::move(metrics_json));
   report.Write();
   std::printf(
       "\nreading: retransmissions grow with loss, yet bytes-copied stays zero — the\n"

@@ -2,10 +2,10 @@
 //
 // Serializes per-phase goodput / drop / retransmission deltas, the armed
 // fault schedule, sweep rows, and every audit's results to
-// CAMPAIGN_<name>.json (the BENCH_*.json convention, same %.10g number
-// format). The JSON is a pure function of the campaign's deterministic
-// state — same seed, same schedule => byte-identical file, which is the
-// acceptance test for campaign determinism.
+// CAMPAIGN_<name>.json, printed by the same writer as BENCH_*.json
+// (src/obs/json.h). The JSON is a pure function of the campaign's
+// deterministic state — same seed, same schedule => byte-identical file,
+// which is the acceptance test for campaign determinism.
 #ifndef SRC_FAULT_REPORT_H_
 #define SRC_FAULT_REPORT_H_
 
@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/fault/auditor.h"
+#include "src/obs/json.h"
 #include "src/sim/clock.h"
 
 namespace fbufs {
@@ -73,7 +74,7 @@ class CampaignReport {
   bool passed() const { return outcome_ok_ && audits_passed(); }
   const std::string& outcome_note() const { return outcome_note_; }
 
-  std::string ToJson() const;
+  Json ToJson() const;
   // Writes CAMPAIGN_<name>.json in the working directory.
   bool Write() const;
 

@@ -15,18 +15,17 @@
 //                on the sender, pin-to-release in the file server)
 //
 // Samples are exact (no bucketing); quantiles are nearest-rank over the
-// sorted sample set, so p50/p99/p999 are actual observed values and the JSON
-// is deterministic for same-seed runs. Slices a workload never exercises
-// stay empty and report count 0.
+// sorted sample set, so p50/p99/p999 are actual observed values and the Json
+// tree (src/obs/json.h) is deterministic for same-seed runs. Slices a
+// workload never exercises stay empty and report count 0.
 #ifndef SRC_OBS_LATENCY_H_
 #define SRC_OBS_LATENCY_H_
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
-#include <string>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/sim/clock.h"
 
 namespace fbufs {
@@ -77,11 +76,9 @@ struct LatencyDecomposition {
     append(pin_hold, other.pin_hold);
   }
 
-  // {"queue_wait":{"count":N,"p50":..,"p99":..,"p999":..}, ...} — one object
-  // per slice, fixed order, integer nanoseconds.
-  std::string ToJson() const {
-    std::ostringstream out;
-    out << "{";
+  // {"queue_wait": {"count": N, "p50": .., "p99": .., "p999": ..}, ...} —
+  // one object per slice, fixed order, integer nanoseconds.
+  Json ToJson() const {
     const struct {
       const char* name;
       const std::vector<SimTime>* samples;
@@ -90,21 +87,16 @@ struct LatencyDecomposition {
         {"dispatch", &dispatch},     {"retransmit", &retransmit},
         {"pin_hold", &pin_hold},
     };
-    bool first = true;
+    Json::Object out;
     for (const auto& s : slices) {
       std::vector<SimTime> sorted = *s.samples;
       std::sort(sorted.begin(), sorted.end());
-      if (!first) {
-        out << ", ";
-      }
-      first = false;
-      out << "\"" << s.name << "\": {\"count\": " << sorted.size()
-          << ", \"p50\": " << Quantile(sorted, 0.5)
-          << ", \"p99\": " << Quantile(sorted, 0.99)
-          << ", \"p999\": " << Quantile(sorted, 0.999) << "}";
+      out.emplace_back(s.name, Json::Object{{"count", sorted.size()},
+                                            {"p50", Quantile(sorted, 0.5)},
+                                            {"p99", Quantile(sorted, 0.99)},
+                                            {"p999", Quantile(sorted, 0.999)}});
     }
-    out << "}";
-    return out.str();
+    return out;
   }
 };
 

@@ -1,6 +1,7 @@
 #include "src/obs/metrics.h"
 
-#include <sstream>
+#include <string>
+#include <utility>
 
 namespace fbufs {
 
@@ -45,43 +46,33 @@ std::uint64_t Histogram::ApproxQuantile(double q) const {
   return max_;
 }
 
-std::string MetricsRegistry::ToJson() const {
-  std::ostringstream os;
-  os << "{";
-  os << "\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters_) {
-    os << (first ? "" : ",") << "\"" << name << "\":" << c.value();
-    first = false;
-  }
-  os << "},\"gauges\":{";
-  first = true;
+Json MetricsRegistry::ToJson() const {
+  Json::Object gauges;
   for (const auto& [name, g] : gauges_) {
-    os << (first ? "" : ",") << "\"" << name << "\":{\"value\":" << g.value()
-       << ",\"min\":" << g.min() << ",\"max\":" << g.max() << ",\"samples\":" << g.samples()
-       << "}";
-    first = false;
+    gauges.emplace_back(name, Json::Object{{"value", g.value()},
+                                           {"min", g.min()},
+                                           {"max", g.max()},
+                                           {"samples", g.samples()}});
   }
-  os << "},\"histograms\":{";
-  first = true;
+  Json::Object histograms;
   for (const auto& [name, h] : histograms_) {
-    os << (first ? "" : ",") << "\"" << name << "\":{\"count\":" << h.count()
-       << ",\"sum\":" << h.sum() << ",\"min\":" << h.min() << ",\"max\":" << h.max()
-       << ",\"p50\":" << h.ApproxQuantile(0.5) << ",\"p99\":" << h.ApproxQuantile(0.99)
-       << ",\"buckets\":{";
-    bool bfirst = true;
+    Json::Object buckets;
     for (int b = 0; b < Histogram::kBuckets; ++b) {
-      if (h.bucket(b) == 0) {
-        continue;
+      if (h.bucket(b) != 0) {
+        buckets.emplace_back(std::to_string(b), h.bucket(b));
       }
-      os << (bfirst ? "" : ",") << "\"" << b << "\":" << h.bucket(b);
-      bfirst = false;
     }
-    os << "}}";
-    first = false;
+    histograms.emplace_back(
+        name, Json::Object{{"count", h.count()},
+                           {"sum", h.sum()},
+                           {"min", h.min()},
+                           {"max", h.max()},
+                           {"p50", h.ApproxQuantile(0.5)},
+                           {"p99", h.ApproxQuantile(0.99)},
+                           {"buckets", std::move(buckets)}});
   }
-  os << "}}";
-  return os.str();
+  return Json::Object{{"gauges", std::move(gauges)},
+                      {"histograms", std::move(histograms)}};
 }
 
 }  // namespace fbufs

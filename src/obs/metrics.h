@@ -1,12 +1,12 @@
-// Named metrics: counters, gauges and log-scale latency histograms.
+// Named metrics: gauges and log-scale latency histograms.
 //
 // A MetricsRegistry is a flat, name-keyed bag of instruments that subsystems
 // opt into (a Machine carries an optional registry pointer; everything is
 // off — a null check — until a bench or test attaches one). Instruments are
 // created on first use and held by stable pointers, so hot paths pay one map
 // lookup at attach time, not per observation. Export is deterministic: the
-// registry serializes in name order with integer-only values, so same seed
-// means byte-identical JSON.
+// registry builds a Json tree (src/obs/json.h) in name order with integer
+// values only, so same seed means byte-identical JSON.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -16,18 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/obs/json.h"
 #include "src/sim/clock.h"
 
 namespace fbufs {
-
-class Counter {
- public:
-  void Add(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
 
 class Gauge {
  public:
@@ -42,13 +34,13 @@ class Gauge {
     samples_++;
   }
   std::int64_t value() const { return value_; }
-  std::int64_t max() const { return max_; }
+  std::int64_t max() const { return samples_ == 0 ? 0 : max_; }
   std::int64_t min() const { return samples_ == 0 ? 0 : min_; }
   std::uint64_t samples() const { return samples_; }
 
  private:
   std::int64_t value_ = 0;
-  std::int64_t max_ = 0;
+  std::int64_t max_ = INT64_MIN;
   std::int64_t min_ = INT64_MAX;
   std::uint64_t samples_ = 0;
 };
@@ -108,7 +100,6 @@ class MetricsRegistry {
  public:
   // Instruments are created on first request and live as long as the
   // registry; returned pointers are stable.
-  Counter* GetCounter(const std::string& name) { return &counters_[name]; }
   Gauge* GetGauge(const std::string& name) { return &gauges_[name]; }
   Histogram* GetHistogram(const std::string& name) { return &histograms_[name]; }
 
@@ -137,17 +128,14 @@ class MetricsRegistry {
 
   const std::map<std::string, Series>& series() const { return series_; }
 
-  const std::map<std::string, Counter>& counters() const { return counters_; }
   const std::map<std::string, Gauge>& gauges() const { return gauges_; }
   const std::map<std::string, Histogram>& histograms() const { return histograms_; }
 
-  // Deterministic JSON object: {"counters":{...},"gauges":{...},
-  // "histograms":{...}} in name order, integer values only. Empty buckets
-  // are omitted from histogram serialization.
-  std::string ToJson() const;
+  // {"gauges": {...}, "histograms": {...}} in name order, integer values
+  // only. Empty buckets are omitted from histogram serialization.
+  Json ToJson() const;
 
  private:
-  std::map<std::string, Counter> counters_;
   std::map<std::string, Gauge> gauges_;
   std::map<std::string, Histogram> histograms_;
   std::map<std::string, Series> series_;

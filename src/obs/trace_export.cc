@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <map>
 
+#include "src/obs/json.h"
 #include "src/obs/lifecycle.h"
 
 namespace fbufs {
@@ -15,30 +16,6 @@ namespace {
 std::uint32_t TidFor(TraceCategory c) { return static_cast<std::uint32_t>(c); }
 
 }  // namespace
-
-std::string TraceExporter::Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char ch : s) {
-    switch (ch) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        out += ch;
-    }
-  }
-  return out;
-}
 
 void TraceExporter::AppendTimestamp(std::string* out, SimTime ns) {
   // Microseconds with nanosecond precision, integer arithmetic only.
@@ -54,7 +31,7 @@ void TraceExporter::AppendMeta(std::uint32_t pid, std::uint32_t tid, const char*
   e.tid = tid;
   e.ph = 'M';
   e.name = what;
-  e.args = "\"name\":\"" + Escape(name) + "\"";
+  e.args = "\"name\":" + JsonQuote(name);
   events_.push_back(std::move(e));
 }
 
@@ -181,8 +158,8 @@ void TraceExporter::AddLifecycleFlows(const std::string& name,
       x.cat = "lifecycle";
       x.args = "\"journey\":" + std::to_string(j.id) +
                ",\"fbuf\":" + std::to_string(j.fbuf) +
-               ",\"layer\":\"" + Escape(hop.layer) +
-               "\",\"cpu\":" + std::to_string(hop.cpu) +
+               ",\"layer\":" + JsonQuote(hop.layer) +
+               ",\"cpu\":" + std::to_string(hop.cpu) +
                ",\"arg\":" + std::to_string(hop.arg);
       events_.push_back(std::move(x));
       if (n < 2) {
@@ -232,9 +209,9 @@ std::string TraceExporter::ToJson() const {
       out += ",";
     }
     first = false;
-    out += "{\"name\":\"";
-    out += Escape(e.name);
-    out += "\",\"ph\":\"";
+    out += "{\"name\":";
+    out += JsonQuote(e.name);
+    out += ",\"ph\":\"";
     out += e.ph;
     out += "\",\"pid\":";
     out += std::to_string(e.pid);
@@ -263,9 +240,8 @@ std::string TraceExporter::ToJson() const {
       }
     }
     if (!e.cat.empty()) {
-      out += ",\"cat\":\"";
-      out += Escape(e.cat);
-      out += "\"";
+      out += ",\"cat\":";
+      out += JsonQuote(e.cat);
     }
     if (!e.args.empty()) {
       out += ",\"args\":{";

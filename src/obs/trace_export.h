@@ -11,7 +11,10 @@
 // "X" (complete) events under a shared "resources" pid. Phase markers become
 // process-scoped instants. Timestamps are simulated nanoseconds printed as
 // microseconds with three decimals — pure integer formatting, so export is
-// deterministic: same seed, byte-identical file.
+// deterministic: same seed, byte-identical file. That is why events are
+// formatted here and not by the report writer (src/obs/json.h), whose
+// ten-digit doubles would round a timestamp once a run passes 10 s; strings
+// are quoted by its JsonQuote.
 #ifndef SRC_OBS_TRACE_EXPORT_H_
 #define SRC_OBS_TRACE_EXPORT_H_
 
@@ -84,7 +87,6 @@ class TraceExporter {
   void AppendMeta(std::uint32_t pid, std::uint32_t tid, const char* what,
                   const std::string& name);
 
-  static std::string Escape(const std::string& s);
   static void AppendTimestamp(std::string* out, SimTime ns);
 
   std::vector<ExportEvent> events_;

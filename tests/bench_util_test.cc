@@ -128,8 +128,9 @@ class TimeAttributionJsonTest : public ::testing::Test {
   Machine m_;
 };
 
+// Each case prints the section one level down, as it sits in a report.
 TEST_F(TimeAttributionJsonTest, EmitsLayerPathAndCpuSplits) {
-  EXPECT_EQ(TimeAttributionJson(m_),
+  EXPECT_EQ(TimeAttributionJson(m_).Dump(1),
             "{\n"
             "    \"clock_ns\": 140,\n"
             "    \"attributed_ns\": 140,\n"
@@ -140,7 +141,7 @@ TEST_F(TimeAttributionJsonTest, EmitsLayerPathAndCpuSplits) {
 }
 
 TEST_F(TimeAttributionJsonTest, LatencyAndFlowSectionsAppearOnlyWhenPassed) {
-  const std::string plain = TimeAttributionJson(m_);
+  const std::string plain = TimeAttributionJson(m_).Dump(1);
   EXPECT_EQ(plain.find("dispatch_wait_by_path"), std::string::npos);
   EXPECT_EQ(plain.find("ring_occupancy_by_path"), std::string::npos);
   EXPECT_EQ(plain.find("by_flow"), std::string::npos);
@@ -155,7 +156,7 @@ TEST_F(TimeAttributionJsonTest, LatencyAndFlowSectionsAppearOnlyWhenPassed) {
   opts.per_path_ring_occupancy = &occupancy;
   opts.flows = &flows;
   // The extras follow the fixed split, which is unchanged ("\n  }" closes).
-  EXPECT_EQ(TimeAttributionJson(m_, opts),
+  EXPECT_EQ(TimeAttributionJson(m_, opts).Dump(1),
             plain.substr(0, plain.size() - 4) +
                 ",\n    \"dispatch_wait_by_path\": {\"7\": 5, \"none\": 3},\n"
                 "    \"ring_occupancy_by_path\": {\"9\": 12},\n"

@@ -207,7 +207,7 @@ TerminateOutcome RunTerminateCampaign(bool terminate_relay,
   out.sink_bytes = b.runner->flow_sink(0).bytes_received();
   CampaignReport report = cr.Finish();
   out.report_passed = report.audits_passed();
-  out.json = report.ToJson();
+  out.json = report.ToJson().Dump();
   return out;
 }
 

@@ -1,12 +1,16 @@
 // Tests for the observability layer: time attribution (and its conservation
-// invariant), the metrics registry, and the Chrome-trace exporter.
+// invariant), the metrics registry, the JSON writer, and the Chrome-trace
+// exporter.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "src/obs/attribution.h"
+#include "src/obs/json.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_export.h"
 #include "src/topo/testbed.h"
@@ -284,22 +288,66 @@ TEST(Metrics, ApproxQuantileInterpolatesWithinABucket) {
 
 TEST(Metrics, RegistryPointersAreStableAndJsonDeterministic) {
   auto fill = [](MetricsRegistry& r) {
-    Counter* c = r.GetCounter("b.count");
-    c->Add(2);
-    EXPECT_EQ(c, r.GetCounter("b.count"));
+    Histogram* h = r.GetHistogram("c.lat");
+    h->Observe(500);
+    r.GetHistogram("b.lat")->Observe(7);
+    EXPECT_EQ(h, r.GetHistogram("c.lat"));
     r.GetGauge("a.depth")->Set(-4);
     r.GetGauge("a.depth")->Set(9);
-    r.GetHistogram("c.lat")->Observe(500);
   };
   MetricsRegistry r1;
   MetricsRegistry r2;
   fill(r1);
   fill(r2);
-  const std::string j = r1.ToJson();
-  EXPECT_EQ(j, r2.ToJson());
-  EXPECT_NE(j.find("\"b.count\""), std::string::npos);
+  const std::string j = r1.ToJson().Dump();
+  EXPECT_EQ(j, r2.ToJson().Dump());
+  EXPECT_NE(j.find("\"b.lat\""), std::string::npos);
   EXPECT_NE(j.find("\"a.depth\""), std::string::npos);
   EXPECT_NE(j.find("\"c.lat\""), std::string::npos);
+}
+
+TEST(Metrics, GaugeMaxAndMinAreObservedValues) {
+  Gauge g;
+  EXPECT_EQ(g.max(), 0);  // no samples
+  EXPECT_EQ(g.min(), 0);
+  g.Set(-4);
+  g.Set(-9);
+  EXPECT_EQ(g.value(), -9);
+  EXPECT_EQ(g.max(), -4);
+  EXPECT_EQ(g.min(), -9);
+}
+
+TEST(Json, IntegersPrintExactlyAndDoublesToTenDigits) {
+  EXPECT_EQ(Json(UINT64_MAX).Dump(), "18446744073709551615");
+  EXPECT_EQ(Json(std::int64_t{-4}).Dump(), "-4");
+  EXPECT_EQ(Json(1.0 / 3).Dump(), "0.3333333333");
+  EXPECT_EQ(Json(std::nan("")).Dump(), "null");
+  EXPECT_EQ(Json().Dump(), "null");
+  EXPECT_EQ(Json(false).Dump(), "false");
+}
+
+TEST(Json, StringsAreEscaped) {
+  EXPECT_EQ(Json("q\"b\\n\nt\tc\x01").Dump(),
+            "\"q\\\"b\\\\n\\nt\\tc\\u0001\"");
+  EXPECT_EQ(JsonQuote("plain"), "\"plain\"");
+}
+
+TEST(Json, TopTwoDepthsBreakLinesAndDeeperOnesPrintInline) {
+  const Json doc = Json::Object{
+      {"z", 1},
+      {"rows", Json::Array{Json::Object{{"k", 2}, {"j", Json::Array{3, Json::Object{}}}},
+                           Json::Array{}}},
+      {"empty", Json::Object{}}};
+  EXPECT_EQ(doc.Dump(),
+            "{\n"
+            "  \"z\": 1,\n"
+            "  \"rows\": [\n"
+            "    {\"k\": 2, \"j\": [3, {}]},\n"
+            "    []\n"
+            "  ],\n"
+            "  \"empty\": {}\n"
+            "}");
+  EXPECT_EQ(Json(Json::Array{}).Dump(), "[]");
 }
 
 TEST(Metrics, FbufAllocLatencyRecordedWhenAttached) {

@@ -1,7 +1,23 @@
 #!/usr/bin/env python3
-"""Validates Chrome trace_event exports (TRACE_*.json).
+"""Validates the simulator's JSON artifacts from the files alone.
 
-Checks, per file: the document parses, traceEvents is non-empty, every
+Files are told apart by name. BENCH_<stem>.json and CAMPAIGN_<stem>.json are
+reports; anything else is a Chrome trace_event export (TRACE_*.json).
+
+Reports. A BENCH file opens with "bench" equal to its stem, then "rows": a
+list of flat objects whose values are numbers, strings or null. A CAMPAIGN
+file opens with "campaign" equal to its stem; its phases are contiguous
+(each end_ns is the next start_ns), and "passed": true requires every audit
+to have passed. In either, every top-level section is re-checked:
+time_attribution (directly, or member by member when it has no clock_ns)
+must conserve time exactly (attributed_ns == clock_ns == the sum of by_cpu,
+by_layer and by_path each sum to attributed_ns, and so does by_flow when
+present); every latency_decomposition entry holds the five slices in order,
+each with p50 <= p99 <= p999; every metrics histogram has
+min <= p50 <= p99 <= max with its buckets summing to count, and every gauge
+min <= value <= max.
+
+Traces. Checks, per file: the document parses, traceEvents is non-empty, every
 begin span has a matching end (per pid/tid the B/E stream must be properly
 bracketed), at least one instant (phase marker) is present, counter ('C')
 events carry numeric args with non-decreasing timestamps per track, and
@@ -16,11 +32,14 @@ follows a matching 's', timestamps never run backwards along a chain, each
 chain is terminated by exactly one 'f' (carrying Chrome's bp:"e"), and
 nothing follows the 'f'. Traces from incast and server must additionally
 carry at least one lifecycle flow and at least one histogram counter track
-(count/p50/p99 args, from MetricsRegistry export). Exits non-zero on the
-first violation. Used by CI after bench/campaigns, bench/multicore,
-bench/ablation_rings, bench/incast and bench/server run.
+(count/p50/p99 args, from MetricsRegistry export).
+
+Exits non-zero on the first violation. The validate_golden_reports ctest
+runs it over every committed golden report; CI runs it over the TRACE,
+BENCH and CAMPAIGN files the smoke benches write.
 """
 import json
+import os
 import sys
 
 
@@ -89,9 +108,100 @@ def check_flow_event(path, e, flows):
         chain["closed"] = True
 
 
-def validate(path):
-    with open(path) as f:
-        doc = json.load(f)
+LATENCY_SLICES = ["queue_wait", "wire", "dispatch", "retransmit", "pin_hold"]
+
+
+def check_attribution(path, where, ta):
+    attributed = ta["attributed_ns"]
+    if not attributed == ta["clock_ns"] == sum(ta["by_cpu"]):
+        raise SystemExit(
+            f"{path}: {where}: attributed_ns {attributed}, clock_ns "
+            f"{ta['clock_ns']} and sum(by_cpu) {sum(ta['by_cpu'])} differ")
+    splits = ["by_layer", "by_path"] + (["by_flow"] if "by_flow" in ta else [])
+    for split in splits:
+        total = sum(ta[split].values())
+        if total != attributed:
+            raise SystemExit(
+                f"{path}: {where}: sum({split}) {total} != attributed_ns "
+                f"{attributed}")
+
+
+def check_sections(path, doc):
+    """Re-checks the report sections that carry their own invariants."""
+    attribution = doc.get("time_attribution")
+    if attribution is not None:
+        if "clock_ns" in attribution:
+            check_attribution(path, "time_attribution", attribution)
+        else:
+            for host, ta in attribution.items():
+                check_attribution(path, f"time_attribution.{host}", ta)
+    for name, entry in doc.get("latency_decomposition", {}).items():
+        if list(entry) != LATENCY_SLICES:
+            raise SystemExit(
+                f"{path}: latency_decomposition.{name} slices {list(entry)} "
+                f"are not {LATENCY_SLICES}")
+        for slice_name, q in entry.items():
+            if not q["p50"] <= q["p99"] <= q["p999"]:
+                raise SystemExit(
+                    f"{path}: latency_decomposition.{name}.{slice_name}: "
+                    f"p50/p99/p999 out of order: {q}")
+    metrics = doc.get("metrics", {})
+    for name, h in metrics.get("histograms", {}).items():
+        if not h["min"] <= h["p50"] <= h["p99"] <= h["max"]:
+            raise SystemExit(
+                f"{path}: histogram '{name}': min/p50/p99/max out of order: {h}")
+        if sum(h["buckets"].values()) != h["count"]:
+            raise SystemExit(
+                f"{path}: histogram '{name}': buckets sum to "
+                f"{sum(h['buckets'].values())}, count is {h['count']}")
+    for name, g in metrics.get("gauges", {}).items():
+        if not g["min"] <= g["value"] <= g["max"]:
+            raise SystemExit(
+                f"{path}: gauge '{name}': value outside [min, max]: {g}")
+
+
+def check_rows(path, rows):
+    if not isinstance(rows, list):
+        raise SystemExit(f"{path}: rows is not a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise SystemExit(f"{path}: row {i} is not an object")
+        for k, v in row.items():
+            if isinstance(v, bool) or not (
+                    v is None or isinstance(v, (int, float, str))):
+                raise SystemExit(
+                    f"{path}: row {i} field '{k}' is not a number, string "
+                    f"or null: {v!r}")
+
+
+def validate_bench(path, doc, stem):
+    keys = list(doc)
+    if keys[:2] != ["bench", "rows"] or doc["bench"] != stem:
+        raise SystemExit(f"{path}: expected \"bench\": {stem!r} then \"rows\", "
+                         f"got {keys[:2]} with bench {doc.get('bench')!r}")
+    check_rows(path, doc["rows"])
+    check_sections(path, doc)
+    print(f"{path}: {len(doc['rows'])} rows, sections: "
+          f"{', '.join(keys[2:]) or 'none'}")
+
+
+def validate_campaign(path, doc, stem):
+    if next(iter(doc), None) != "campaign" or doc["campaign"] != stem:
+        raise SystemExit(f"{path}: expected \"campaign\": {stem!r} first")
+    check_rows(path, doc.get("rows", []))
+    check_sections(path, doc)
+    phases = doc["phases"]
+    for a, b in zip(phases, phases[1:]):
+        if a["end_ns"] != b["start_ns"]:
+            raise SystemExit(
+                f"{path}: phase '{a['label']}' ends at {a['end_ns']}, "
+                f"phase '{b['label']}' starts at {b['start_ns']}")
+    if doc["passed"] and not all(a["passed"] for a in doc["audits"]):
+        raise SystemExit(f"{path}: passed with a failed audit")
+    print(f"{path}: {len(phases)} phases, {len(doc['audits'])} audits")
+
+
+def validate_trace(path, doc):
     events = doc["traceEvents"]
     if not events:
         raise SystemExit(f"{path}: empty traceEvents")
@@ -172,9 +282,24 @@ def validate(path):
           f"{counters} counter points{extra}{ringinfo}{flowinfo}{histinfo}")
 
 
+def validate(path):
+    with open(path) as f:
+        doc = json.load(f)
+    base = os.path.basename(path)
+    stem = base[:-len(".json")] if base.endswith(".json") else base
+    if stem.startswith("BENCH_"):
+        validate_bench(path, doc, stem[len("BENCH_"):])
+    elif stem.startswith("CAMPAIGN_"):
+        validate_campaign(path, doc, stem[len("CAMPAIGN_"):])
+    else:
+        validate_trace(path, doc)
+
+
 def main(argv):
     if len(argv) < 2:
-        raise SystemExit("usage: validate_traces.py TRACE_a.json [TRACE_b.json ...]")
+        raise SystemExit(
+            "usage: validate_traces.py FILE.json [FILE.json ...] "
+            "(TRACE_*, BENCH_* or CAMPAIGN_*)")
     for path in argv[1:]:
         validate(path)
 
