@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/obs/trace_export.h"
+#include "bench/capture.h"
 #include "src/pressure/backoff.h"
 #include "src/proto/loopback_stack.h"
 #include "src/ring/ring_hub.h"
@@ -72,18 +72,14 @@ PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
                          /*doorbell_batch=*/batch, /*drain_budget=*/64,
                          /*flush_delay_ns=*/50000},
               /*auto_create=*/true);
-  MetricsRegistry metrics;
   if (mode == Mode::kRinged) {
     ls.stack().EnableRings(&hub);
     fsys.SetNoticeTransport(&hub);
-    if (artifacts != nullptr) {
-      metrics.EnableTraceSampling();
-      machine.trace().SetCapacity(std::size_t{1} << 16);
-      machine.trace().Enable(TraceCategory::kIpc);
-      machine.trace().Enable(TraceCategory::kPhase);
-      machine.cpu_lane(0).set_record_intervals(true);
-      machine.AttachMetrics(&metrics);
-    }
+  }
+  // Only the showcase point (a ring point) records its trace and metrics.
+  RunCapture capture("ablation_rings", artifacts != nullptr);
+  if (artifacts != nullptr) {
+    capture.Watch(machine, {.trace = true, .metrics = true, .conservation = true});
   }
 
   const bool ringed = mode == Mode::kRinged;
@@ -165,21 +161,10 @@ PointResult RunPoint(Mode mode, std::uint32_t batch, std::uint64_t size,
     opts.per_path_ring_occupancy = &occupancy;
   }
   Json attr = TimeAttributionJson(machine, opts);
-  if (artifacts != nullptr && ringed) {
+  if (artifacts != nullptr) {
     artifacts->attribution_json = std::move(attr);
-    artifacts->metrics_json = metrics.ToJson();
-    TraceExporter ex;
-    ex.AddHost(machine.name(), 1, machine.trace());
-    ex.AddResource(machine.cpu_lane(0));
-    ex.AddCounterTracks("metrics/rings", 9000, metrics, machine.ElapsedNs());
-    ex.AddLaneConservation("cpu/" + machine.name(),
-                           machine.attribution().ByCpu(0), machine.ElapsedNs());
-    const std::string path = "TRACE_ablation_rings.json";
-    if (ex.WriteFile(path)) {
-      std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                   ex.event_count());
-    }
-    machine.AttachMetrics(nullptr);
+    artifacts->metrics_json = capture.metrics().ToJson();
+    capture.WriteTrace();
   }
   return p;
 }

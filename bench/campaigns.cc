@@ -48,14 +48,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "bench/capture.h"
 #include "src/fault/campaign.h"
 #include "src/fault/incast_world.h"
 #include "src/fault/swp_world.h"
-#include "src/obs/lifecycle.h"
 #include "src/obs/trace_export.h"
 #include "src/serve/serve_world.h"
 #include "src/sim/rng.h"
@@ -127,133 +126,23 @@ void PrintReport(const CampaignReport& r) {
   }
 }
 
-// --- Journey reconciliation --------------------------------------------------
-//
-// Fbuf provenance audited beside the §3.3 audits: one LifecycleTracker per
-// machine, attached before any traffic, reconciled after the run. Every
-// recorded journey must end in kFree (or kAbort when its domain was
-// terminated) with its pins balanced; termination campaigns additionally
-// demand that the §3.3 sweep left at least one abort hop in the record.
-
-class JourneyAudit {
- public:
-  void Attach(Machine* m) {
-    entries_.push_back({m, std::make_unique<LifecycleTracker>(m)});
-    m->AttachLifecycle(entries_.back().tracker.get());
-  }
-
-  void AttachTopology(Topology& topo) {
-    for (NodeId n = 0; n < topo.node_count(); ++n) {
-      if (!topo.is_switch(n)) {
-        Attach(&topo.host(n)->machine);
-      }
-    }
-  }
-
-  // Trackers die with this object while worlds may free fbufs afterwards —
-  // never leave a machine pointing at a dead observer.
-  ~JourneyAudit() {
-    for (Entry& e : entries_) {
-      e.machine->AttachLifecycle(nullptr);
-    }
-  }
-
-  // Detaches and reconciles every tracker. |min_aborts| demands that at
-  // least that many journeys ended in a §3.3 abort (termination campaigns).
-  bool Finish(const std::string& campaign, std::uint64_t min_aborts = 0) {
-    std::uint64_t journeys = 0;
-    std::uint64_t aborted = 0;
-    bool ok = true;
-    for (Entry& e : entries_) {
-      e.machine->AttachLifecycle(nullptr);
-      const LifecycleTracker::Reconciliation rec = e.tracker->Reconcile();
-      journeys += e.tracker->journeys().size();
-      aborted += rec.aborted;
-      if (!rec.passed() || rec.dropped != 0) {
-        std::fprintf(stderr,
-                     "campaign %s: journey reconciliation failed on %s: "
-                     "open=%llu pin_imbalance=%llu bad_end=%llu dropped=%llu\n",
-                     campaign.c_str(), e.machine->name().c_str(),
-                     static_cast<unsigned long long>(rec.open),
-                     static_cast<unsigned long long>(rec.pin_imbalance),
-                     static_cast<unsigned long long>(rec.bad_end),
-                     static_cast<unsigned long long>(rec.dropped));
-        ok = false;
-      }
-    }
-    if (journeys == 0) {
-      std::fprintf(stderr, "campaign %s: no journey was ever recorded\n",
-                   campaign.c_str());
-      ok = false;
-    }
-    if (aborted < min_aborts) {
-      std::fprintf(stderr,
-                   "campaign %s: expected >= %llu aborted journeys, saw %llu\n",
-                   campaign.c_str(),
-                   static_cast<unsigned long long>(min_aborts),
-                   static_cast<unsigned long long>(aborted));
-      ok = false;
-    }
-    return ok;
-  }
-
- private:
-  struct Entry {
-    Machine* machine;
-    std::unique_ptr<LifecycleTracker> tracker;
-  };
-  std::vector<Entry> entries_;
-};
-
-// --- Trace capture and export ------------------------------------------------
+// --- Observation -------------------------------------------------------------
 //
 // Every campaign writes TRACE_<name>.json alongside its CAMPAIGN_<name>.json:
 // a Chrome trace_event timeline (load in Perfetto) with one process per
-// host, one lane per trace category, fault-phase markers from the
-// CampaignRunner, and busy-interval lanes for the contended resources.
-// Capture is armed right after world construction, while every trace ring
-// is still empty.
+// traced host, one lane per trace category, fault-phase markers from the
+// CampaignRunner, and busy-interval lanes for the contended resources. Its
+// RunCapture also keeps fbuf journeys on every host, audited beside the
+// §3.3 audits: every recorded journey must end in kFree (or kAbort when its
+// domain was terminated) with its pins balanced, and termination campaigns
+// that axe a domain holding fbufs demand at least one abort.
 
-constexpr std::size_t kTraceRing = std::size_t{1} << 17;
-
-void ArmHostTrace(Machine& m) {
-  m.trace().SetCapacity(kTraceRing);
-  m.trace().EnableAll();
-}
-
-void ArmTopologyCapture(Topology& topo) {
-  for (NodeId n = 0; n < topo.node_count(); ++n) {
-    if (topo.is_switch(n)) {
-      SwitchNode* sw = topo.switch_at(n);
-      for (std::size_t p = 0; p < sw->port_count(); ++p) {
-        sw->port_resource(p).set_record_intervals(true);
-      }
-      continue;
-    }
-    SimHost* h = topo.host(n);
-    ArmHostTrace(h->machine);
-    h->cpu.set_record_intervals(true);
-  }
-  for (LinkId l = 0; l < topo.link_count(); ++l) {
-    topo.link(l).wire().set_record_intervals(true);
-  }
-}
-
-void WriteTrace(const std::string& name, const TraceExporter& ex) {
-  const std::string path = "TRACE_" + name + ".json";
-  if (ex.WriteFile(path)) {
-    std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                 ex.event_count());
-  }
-}
-
-void ExportTopologyTrace(const std::string& name, Topology& topo) {
-  TraceExporter ex;
-  std::uint32_t pid = 1;
+// Traces and journeys on every host of |topo|, busy intervals on every
+// switch port and wire.
+void WatchTopology(RunCapture& capture, Topology& topo) {
   for (NodeId n = 0; n < topo.node_count(); ++n) {
     if (!topo.is_switch(n)) {
-      ex.AddHost(topo.host(n)->machine.name(), pid++,
-                 topo.host(n)->machine.trace());
+      capture.Watch(topo.host(n)->machine, {.trace = true, .journeys = true});
     }
   }
   for (NodeId n = 0; n < topo.node_count(); ++n) {
@@ -262,19 +151,12 @@ void ExportTopologyTrace(const std::string& name, Topology& topo) {
     }
     SwitchNode* sw = topo.switch_at(n);
     for (std::size_t p = 0; p < sw->port_count(); ++p) {
-      ex.AddResource(sw->port_resource(p));
+      capture.Watch(sw->port_resource(p));
     }
   }
   for (LinkId l = 0; l < topo.link_count(); ++l) {
-    ex.AddResource(topo.link(l).wire());
+    capture.Watch(topo.link(l).wire());
   }
-  WriteTrace(name, ex);
-}
-
-void ExportSwpTrace(const std::string& name, SwpWorld& w) {
-  TraceExporter ex;
-  ex.AddHost(w.machine.name(), 1, w.machine.trace());
-  WriteTrace(name, ex);
 }
 
 // --- Campaign 1: loss burst, link flap, and queue squeeze under fan-in -------
@@ -286,9 +168,8 @@ CampaignReport RunLossBurst() {
   cfg.sender_link_mbps = 60.0;
   cfg.switch_port.mbps = 140.0;
   BuiltTopology b = BuildTopology(cfg);
-  ArmTopologyCapture(*b.topo);
-  JourneyAudit ja;
-  ja.AttachTopology(*b.topo);
+  RunCapture capture("loss_burst", /*traced=*/true);
+  WatchTopology(capture, *b.topo);
 
   CampaignRunner cr("loss_burst", Topology::kDefaultSeed, b.loop.get());
   cr.AttachTopology(b.topo.get(), b.runner.get());
@@ -329,12 +210,12 @@ CampaignReport RunLossBurst() {
   for (const FlowResult& f : mr.flows) {
     flows_ok = flows_ok && !f.stalled;
   }
-  flows_ok = flows_ok && ja.Finish("loss_burst");
+  flows_ok = flows_ok && capture.Journeys(/*allow_open=*/true).ok;
   cr.SetOutcome(flows_ok, flows_ok
                               ? "all flows drained despite burst+flap+squeeze"
                               : "a flow failed or wedged");
   CampaignReport rep = cr.Finish();
-  ExportTopologyTrace("loss_burst", *b.topo);
+  capture.WriteTrace();
   return rep;
 }
 
@@ -343,9 +224,8 @@ CampaignReport RunLossBurst() {
 CampaignReport RunAckOnlyLoss() {
   SwpWorldConfig wc;
   SwpWorld w(wc);
-  ArmHostTrace(w.machine);
-  JourneyAudit ja;
-  ja.Attach(&w.machine);
+  RunCapture capture("ack_only_loss", /*traced=*/true);
+  capture.Watch(w.machine, {.trace = true, .journeys = true});
 
   CampaignRunner cr("ack_only_loss", kSwpSeed, &w.loop);
   cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
@@ -370,14 +250,14 @@ CampaignReport RunAckOnlyLoss() {
   w.loop.Run();
 
   const bool done = w.accepted() == static_cast<int>(96 / g_scale) &&
-                    ja.Finish("ack_only_loss");
+                    capture.Journeys(/*allow_open=*/true).ok;
   const std::uint64_t dupes = w.receiver.duplicates_dropped();
   cr.SetOutcome(done && dupes > 0,
                 done ? "window recovered; retransmissions were duplicates "
                        "(data path never lost a frame)"
                      : "producer never finished");
   CampaignReport rep = cr.Finish();
-  ExportSwpTrace("ack_only_loss", w);
+  capture.WriteTrace();
   return rep;
 }
 
@@ -387,6 +267,9 @@ CampaignReport RunRtoSweep() {
   CampaignReport master("rto_sweep", kSwpSeed);
   master.AddScheduledFault({"symmetric-loss20", "set_link_loss", 0, 0, 20});
   bool all_ok = true;
+  // Five short-lived worlds merge into one trace: each point's own capture
+  // arms its ring and judges its journeys, and its host joins this exporter
+  // as one process before the world dies with the iteration.
   TraceExporter ex;
   std::uint32_t pid = 1;
   const int messages = static_cast<int>(48 / g_scale);
@@ -396,9 +279,8 @@ CampaignReport RunRtoSweep() {
     wc.fwd_loss = 20;
     wc.rev_loss = 20;
     SwpWorld w(wc);
-    ArmHostTrace(w.machine);
-    JourneyAudit ja;
-    ja.Attach(&w.machine);
+    RunCapture capture("rto_sweep", /*traced=*/true);
+    capture.Watch(w.machine, {.trace = true, .journeys = true});
 
     CampaignRunner cr("rto_sweep_point", kSwpSeed, &w.loop);
     cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
@@ -413,7 +295,7 @@ CampaignReport RunRtoSweep() {
 
     CampaignReport point = cr.Finish();
     const bool ok = point.audits_passed() && w.accepted() == messages &&
-                    ja.Finish("rto_sweep");
+                    capture.Journeys(/*allow_open=*/true).ok;
     all_ok = all_ok && ok;
     for (CampaignReport::AuditEntry a : point.audits()) {
       a.label = "rto=" + std::to_string(rto_us) + "us/" + a.label;
@@ -430,14 +312,15 @@ CampaignReport RunRtoSweep() {
          {"timer_fires", static_cast<double>(w.sender.timer_fires())},
          {"duplicates", static_cast<double>(w.receiver.duplicates_dropped())},
          {"wedged", w.sender.unacked() > 0 ? 1.0 : 0.0}});
-    // Each sweep point becomes a process lane; the world dies with the
-    // iteration, so the snapshot must be taken here.
     ex.AddHost("rto=" + std::to_string(rto_us) + "us", pid++,
                w.machine.trace());
   }
   master.SetOutcome(all_ok, all_ok ? "every RTO point drained and audited clean"
                                    : "a sweep point wedged or failed its audit");
-  WriteTrace("rto_sweep", ex);
+  if (ex.WriteFile("TRACE_rto_sweep.json")) {
+    std::fprintf(stderr, "wrote TRACE_rto_sweep.json (%zu events)\n",
+                 ex.event_count());
+  }
   return master;
 }
 
@@ -448,9 +331,8 @@ CampaignReport RunTerminateOriginator() {
   cfg.shape = TopologyShape::kRelayChain;
   cfg.relays = 1;
   BuiltTopology b = BuildTopology(cfg);
-  ArmTopologyCapture(*b.topo);
-  JourneyAudit ja;
-  ja.AttachTopology(*b.topo);
+  RunCapture capture("terminate_originator", /*traced=*/true);
+  WatchTopology(capture, *b.topo);
 
   CampaignRunner cr("terminate_originator", Topology::kDefaultSeed,
                     b.loop.get());
@@ -490,13 +372,13 @@ CampaignReport RunTerminateOriginator() {
   // imbalanced, not that aborts occurred (a held buffer at the axe would
   // surface as an abort hop; the hoarder campaign exercises that arm).
   const bool ok = f.failed && !f.stalled && sink_bytes > 0 &&
-                  ja.Finish("terminate_originator");
+                  capture.Journeys(/*allow_open=*/true).ok;
   cr.SetOutcome(
       ok, ok ? "flow failed cleanly at termination; receiver-side data "
                "delivered before the fault survived"
              : "expected a clean failure with surviving receiver data");
   CampaignReport rep = cr.Finish();
-  ExportTopologyTrace("terminate_originator", *b.topo);
+  capture.WriteTrace();
   return rep;
 }
 
@@ -506,9 +388,8 @@ CampaignReport RunHoarder() {
   SwpWorldConfig wc;
   wc.phys_frames = 512;
   SwpWorld w(wc);
-  ArmHostTrace(w.machine);
-  JourneyAudit ja;
-  ja.Attach(&w.machine);
+  RunCapture capture("hoarder", /*traced=*/true);
+  capture.Watch(w.machine, {.trace = true, .journeys = true});
 
   CampaignRunner cr("hoarder", kSwpSeed, &w.loop);
   cr.AddConversation("swp", &w.sender, &w.receiver, &w.sink, &w.machine);
@@ -562,14 +443,14 @@ CampaignReport RunHoarder() {
   // The hoarder's reclaimed fbufs must show as aborted journeys.
   const bool ok = drained && reclaimed && hoarded > 0 &&
                   w.producer_parks() > 0 &&
-                  ja.Finish("hoarder", /*min_aborts=*/1);
+                  capture.Journeys(/*allow_open=*/true, /*min_aborts=*/1).ok;
   cr.SetOutcome(
       ok, ok ? "producer parked under exhaustion, resumed after the hoarder's "
                "termination returned its " +
                    std::to_string(hoarded) + " pages, and drained"
              : "expected park -> terminate -> full quota reclaim -> drain");
   CampaignReport rep = cr.Finish();
-  ExportSwpTrace("hoarder", w);
+  capture.WriteTrace();
   return rep;
 }
 
@@ -579,10 +460,16 @@ CampaignReport RunServerChurn() {
   ServeWorldConfig wc;
   wc.clients = 4;
   ServeWorld world(wc);
-  ArmHostTrace(world.server().machine);
-  ArmHostTrace(world.client(0).machine);
-  JourneyAudit ja;
-  ja.AttachTopology(world.topo());
+  // Journeys on every host; traces on the server and the victim client.
+  RunCapture capture("server_churn", /*traced=*/true);
+  for (NodeId n = 0; n < world.topo().node_count(); ++n) {
+    if (world.topo().is_switch(n)) {
+      continue;
+    }
+    const bool traced = n == world.server_node() || n == world.client_node(0);
+    capture.Watch(world.topo().host(n)->machine,
+                  {.trace = traced, .journeys = true});
+  }
 
   CampaignRunner cr("server_churn", ServeWorld::kTopoSeed, &world.loop());
   // No TopologyRunner here — ServeWorld drives its own wire — so phase rows
@@ -633,7 +520,7 @@ CampaignReport RunServerChurn() {
   // is synchronous within events), so no abort floor applies here.
   const bool ok = pins_clean && st.failed > 0 && st.completed > 0 &&
                   st.completed + st.failed == st.requests &&
-                  ja.Finish("server_churn");
+                  capture.Journeys(/*allow_open=*/true).ok;
   cr.SetOutcome(
       ok, ok ? "dead client's " + std::to_string(st.failed) +
                    " flows failed cleanly; " + std::to_string(st.completed) +
@@ -646,11 +533,7 @@ CampaignReport RunServerChurn() {
               {"served_blocks", static_cast<double>(st.served_blocks)},
               {"hit_ratio", st.hit_ratio},
               {"goodput_mbps", st.goodput_mbps}});
-
-  TraceExporter ex;
-  ex.AddHost(world.server().machine.name(), 1, world.server().machine.trace());
-  ex.AddHost(world.client(0).machine.name(), 2, world.client(0).machine.trace());
-  WriteTrace("server_churn", ex);
+  capture.WriteTrace();
   return rep;
 }
 
@@ -667,13 +550,12 @@ CampaignReport RunCongestionCollapse() {
   // raise a storm.
   wc.senders_per_rack = 8;
   IncastWorld w(wc);
-  ArmHostTrace(w.machine);
-  JourneyAudit ja;
-  ja.Attach(&w.machine);
+  RunCapture capture("congestion_collapse", /*traced=*/true);
+  capture.Watch(w.machine, {.trace = true, .journeys = true});
   for (std::uint32_t r = 0; r < wc.racks; ++r) {
-    w.topo.switch_at(w.tor_node(r))->port_resource(0).set_record_intervals(true);
+    capture.Watch(w.topo.switch_at(w.tor_node(r))->port_resource(0));
   }
-  w.topo.switch_at(w.core_node())->port_resource(0).set_record_intervals(true);
+  capture.Watch(w.topo.switch_at(w.core_node())->port_resource(0));
 
   CampaignRunner cr("congestion_collapse", wc.seed, &w.loop);
   cr.AttachTopology(&w.topo, nullptr);
@@ -749,7 +631,7 @@ CampaignReport RunCongestionCollapse() {
   // The axed sender's pinned window must end as aborted journeys; every
   // survivor's journey must close kFree with its retransmit pins balanced.
   const bool ok = survivors_drained && victim_clean && storm &&
-                  ja.Finish("congestion_collapse", /*min_aborts=*/1);
+                  capture.Journeys(/*allow_open=*/true, /*min_aborts=*/1).ok;
   cr.SetOutcome(
       ok, ok ? "survivors drained through the storm (" +
                    std::to_string(w.switch_drops()) + " drops, " +
@@ -758,14 +640,7 @@ CampaignReport RunCongestionCollapse() {
                    "its receiver shut down with nothing stranded"
              : "expected storm + clean victim teardown + survivor drain");
   CampaignReport rep = cr.Finish();
-
-  TraceExporter ex;
-  ex.AddHost(w.machine.name(), 1, w.machine.trace());
-  for (std::uint32_t r = 0; r < wc.racks; ++r) {
-    ex.AddResource(w.topo.switch_at(w.tor_node(r))->port_resource(0));
-  }
-  ex.AddResource(w.topo.switch_at(w.core_node())->port_resource(0));
-  WriteTrace("congestion_collapse", ex);
+  capture.WriteTrace();
   return rep;
 }
 

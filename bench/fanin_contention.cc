@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/capture.h"
 #include "src/topo/topo_config.h"
 
 namespace fbufs {
@@ -66,17 +67,16 @@ SweepPoint RunPoint(const TopologyConfig& cfg,
     t.bytes = bytes;
     t.warmup = 4;
   }
-  MetricsRegistry metrics;
-  b.topo->host(b.receiver_node)->machine.AttachMetrics(&metrics);
+  RunCapture capture("fanin_contention");
+  capture.Watch(b.topo->host(b.receiver_node)->machine, {.metrics = true});
   const MultiResult mr = b.runner->RunFlows(traffic);
   if (attr_json != nullptr) {
     *attr_json = Json::Object{
         {"receiver", TimeAttributionJson(b.topo->host(b.receiver_node)->machine)}};
   }
   if (metrics_json != nullptr) {
-    *metrics_json = metrics.ToJson();
+    *metrics_json = capture.metrics().ToJson();
   }
-  b.topo->host(b.receiver_node)->machine.AttachMetrics(nullptr);
 
   SweepPoint p;
   p.senders = cfg.senders;

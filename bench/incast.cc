@@ -26,10 +26,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/capture.h"
 #include "src/fault/auditor.h"
 #include "src/fault/incast_world.h"
-#include "src/obs/lifecycle.h"
-#include "src/obs/trace_export.h"
 
 namespace fbufs {
 namespace bench {
@@ -91,30 +90,20 @@ PointResult RunPoint(TransportKind kind, std::uint32_t fanin, int messages,
 
   const IncastWorldConfig cfg = ConfigFor(kind, fanin);
   IncastWorld w(cfg);
-  // Provenance and latency decomposition ride every point: the tracker and
-  // the per-flow sample vectors are pure host-side observers, so attaching
-  // them never moves a simulated timestamp.
-  LifecycleTracker lifecycle(&w.machine);
-  w.machine.AttachLifecycle(&lifecycle);
-  w.EnableLatency();
-  MetricsRegistry metrics;
-  if (export_trace) {
-    metrics.EnableTraceSampling();
-    w.machine.AttachMetrics(&metrics);
-    for (std::uint32_t rk = 0; rk < cfg.racks; ++rk) {
-      w.topo.switch_at(w.tor_node(rk))->AttachMetrics(&metrics);
-    }
-    w.topo.switch_at(w.core_node())->AttachMetrics(&metrics);
-    w.machine.trace().SetCapacity(std::size_t{1} << 17);
-    w.machine.trace().EnableAll();
-    for (LinkId l = 0; l < w.topo.link_count(); ++l) {
-      w.topo.link(l).wire().set_record_intervals(true);
-    }
-    for (std::uint32_t rk = 0; rk < cfg.racks; ++rk) {
-      w.topo.switch_at(w.tor_node(rk))->port_resource(0).set_record_intervals(true);
-    }
-    w.topo.switch_at(w.core_node())->port_resource(0).set_record_intervals(true);
+  // Provenance, metrics and latency decomposition ride every point: the
+  // tracker, the registry and the per-flow sample vectors are pure host-side
+  // observers, so attaching them never moves a simulated timestamp. The
+  // traced point also records the host's timeline and the busy intervals of
+  // the ToR uplinks and the core downlink.
+  RunCapture capture("incast", export_trace);
+  capture.Watch(w.machine, {.trace = true, .journeys = true, .metrics = true});
+  for (std::uint32_t rk = 0; rk < cfg.racks; ++rk) {
+    capture.Watch(*w.topo.switch_at(w.tor_node(rk)));
+    capture.Watch(w.topo.switch_at(w.tor_node(rk))->port_resource(0));
   }
+  capture.Watch(*w.topo.switch_at(w.core_node()));
+  capture.Watch(w.topo.switch_at(w.core_node())->port_resource(0));
+  w.EnableLatency();
 
   w.StartProducers(messages, kPduBytes);
   w.loop.Run();
@@ -151,18 +140,9 @@ PointResult RunPoint(TransportKind kind, std::uint32_t fanin, int messages,
   // Journey reconciliation next to the §3.3 audit: a drained incast run must
   // close every journey (kFree), balance every retransmit pin, and leave
   // nothing open or dropped.
-  const LifecycleTracker::Reconciliation rec = lifecycle.Reconcile();
-  r.journeys = lifecycle.journeys().size();
-  r.journeys_ok = rec.passed() && rec.open == 0 && rec.dropped == 0;
-  if (!r.journeys_ok) {
-    std::fprintf(stderr,
-                 "incast: journey reconciliation failed: open=%llu "
-                 "pin_imbalance=%llu bad_end=%llu dropped=%llu\n",
-                 static_cast<unsigned long long>(rec.open),
-                 static_cast<unsigned long long>(rec.pin_imbalance),
-                 static_cast<unsigned long long>(rec.bad_end),
-                 static_cast<unsigned long long>(rec.dropped));
-  }
+  const JourneyVerdict verdict = capture.Journeys(/*allow_open=*/false);
+  r.journeys = verdict.journeys;
+  r.journeys_ok = verdict.ok;
 
   // End-to-end latency decomposition, merged across the point's flows.
   LatencyDecomposition lat;
@@ -188,23 +168,8 @@ PointResult RunPoint(TransportKind kind, std::uint32_t fanin, int messages,
     *attr_json = TimeAttributionJson(w.machine, opts);
   }
   if (export_trace) {
-    TraceExporter ex;
-    ex.AddHost(w.machine.name(), 1, w.machine.trace());
-    for (std::uint32_t rk = 0; rk < cfg.racks; ++rk) {
-      ex.AddResource(w.topo.switch_at(w.tor_node(rk))->port_resource(0));
-    }
-    ex.AddResource(w.topo.switch_at(w.core_node())->port_resource(0));
-    ex.AddCounterTracks("metrics/incast", 30, metrics, elapsed);
-    ex.AddLifecycleFlows("lifecycle/incast", 31, lifecycle);
-    if (ex.WriteFile("TRACE_incast.json")) {
-      std::fprintf(stderr, "wrote TRACE_incast.json (%zu events)\n",
-                   ex.event_count());
-    }
+    capture.WriteTrace();
   }
-  // The tracker and registry die with this frame while the world's teardown
-  // still frees fbufs — detach so destructors never chase a dead observer.
-  w.machine.AttachLifecycle(nullptr);
-  w.machine.AttachMetrics(nullptr);
   return r;
 }
 
@@ -290,7 +255,7 @@ int Main(int argc, char** argv) {
       if (!r.audit_passed) {
         fail("post-run audit failed (" + at + ")");
       }
-      if (!r.journeys_ok || r.journeys == 0) {
+      if (!r.journeys_ok) {
         fail("journey reconciliation failed (" + at + ")");
       }
       if (r.goodput_mbps <= 0) {

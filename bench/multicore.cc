@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/obs/trace_export.h"
+#include "bench/capture.h"
 #include "src/topo/topo_config.h"
 
 namespace fbufs {
@@ -71,16 +71,11 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
   BuiltTopology b = BuildTopology(cfg);
   SimHost* rx = b.topo->host(b.receiver_node);
 
-  MetricsRegistry metrics;
-  if (artifacts != nullptr && artifacts->export_trace) {
-    metrics.EnableTraceSampling();
-    rx->machine.trace().SetCapacity(std::size_t{1} << 16);
-    rx->machine.trace().EnableAll();
-    for (std::uint32_t c = 0; c < rx->machine.num_cpus(); ++c) {
-      rx->machine.cpu_lane(c).set_record_intervals(true);
-    }
+  RunCapture capture("multicore", artifacts->export_trace);
+  capture.Watch(rx->machine, {.trace = true, .metrics = true, .conservation = true});
+  for (std::uint32_t c = 0; c < rx->machine.num_cpus(); ++c) {
+    capture.Watch(rx->machine.cpu_lane(c));
   }
-  rx->machine.AttachMetrics(&metrics);
 
   std::vector<FlowTraffic> traffic(flows);
   for (FlowTraffic& t : traffic) {
@@ -129,38 +124,12 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
     // The queueing delay by submitting path, beside by_path's CPU time.
     opts.per_path_dispatch_wait = &rx->dispatcher->PathWaitNs();
   }
-  Json attr = TimeAttributionJson(rx->machine, opts);
-  if (artifacts != nullptr) {
-    artifacts->attribution_json = Json::Object{{"receiver", std::move(attr)}};
-    artifacts->metrics_json = metrics.ToJson();
-    if (artifacts->export_trace) {
-      TraceExporter ex;
-      std::uint32_t pid = 1;
-      for (NodeId n = 0; n < b.topo->node_count(); ++n) {
-        SimHost* h = b.topo->is_switch(n) ? nullptr : b.topo->host(n);
-        if (h != nullptr) {
-          ex.AddHost(h->machine.name(), pid++, h->machine.trace());
-        }
-      }
-      for (std::uint32_t c = 0; c < rx->machine.num_cpus(); ++c) {
-        ex.AddResource(rx->machine.cpu_lane(c));
-      }
-      ex.AddCounterTracks("metrics/receiver", 9000, metrics,
-                          rx->machine.ElapsedNs());
-      const SimTime elapsed = rx->machine.ElapsedNs();
-      const Attribution& a = rx->machine.attribution();
-      for (std::uint32_t c = 0; c < rx->machine.num_cpus(); ++c) {
-        ex.AddLaneConservation(
-            "cpu/receiver/" + std::to_string(c), a.ByCpu(c), elapsed);
-      }
-      const std::string path = "TRACE_multicore.json";
-      if (ex.WriteFile(path)) {
-        std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                     ex.event_count());
-      }
-    }
+  artifacts->attribution_json =
+      Json::Object{{"receiver", TimeAttributionJson(rx->machine, opts)}};
+  artifacts->metrics_json = capture.metrics().ToJson();
+  if (artifacts->export_trace) {
+    capture.WriteTrace();
   }
-  rx->machine.AttachMetrics(nullptr);
   return p;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/capture.h"
 #include "src/baseline/copy_transfer.h"
 #include "src/fault/auditor.h"
 #include "src/pressure/backoff.h"
@@ -77,8 +78,8 @@ PointResult RunPoint(std::uint64_t pool_frames, std::uint64_t headroom, std::uin
   fsys.AttachRpc(&rpc);
   EventLoop loop;
   fsys.AttachEventLoop(&loop);
-  MetricsRegistry metrics;
-  machine.AttachMetrics(&metrics);
+  RunCapture capture("pressure");
+  capture.Watch(machine, {.metrics = true});
 
   PressureConfig pcfg;
   pcfg.low_free_frames = 16;
@@ -185,9 +186,8 @@ PointResult RunPoint(std::uint64_t pool_frames, std::uint64_t headroom, std::uin
     *attr_json = TimeAttributionJson(machine);
   }
   if (metrics_json != nullptr) {
-    *metrics_json = metrics.ToJson();
+    *metrics_json = capture.metrics().ToJson();
   }
-  machine.AttachMetrics(nullptr);
   return r;
 }
 

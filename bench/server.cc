@@ -36,10 +36,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "bench/capture.h"
 #include "src/fault/auditor.h"
 #include "src/obs/latency.h"
-#include "src/obs/lifecycle.h"
-#include "src/obs/trace_export.h"
 #include "src/serve/serve_world.h"
 #include "src/sim/rng.h"
 
@@ -190,19 +189,13 @@ RowResult RunRow(const RowSpec& spec) {
   // Provenance and latency sampling ride every row (host-side observers:
   // attaching them never moves a simulated timestamp). Journeys live on the
   // server machine, where the sendfile-style pins and cross-domain block
-  // transfers happen.
-  LifecycleTracker lifecycle(&world.server().machine, std::size_t{1} << 18);
-  world.server().machine.AttachLifecycle(&lifecycle);
+  // transfers happen. The traced row adds the victim client's timeline.
+  RunCapture capture("server", spec.export_trace);
+  capture.Watch(world.server().machine,
+                {.trace = true, .journeys = true, .metrics = true,
+                 .conservation = true});
+  capture.Watch(world.client(0).machine, {.trace = true});
   world.EnableLatency();
-  MetricsRegistry metrics;
-  if (spec.export_trace) {
-    metrics.EnableTraceSampling();
-    world.server().machine.AttachMetrics(&metrics);
-    world.server().machine.trace().SetCapacity(std::size_t{1} << 17);
-    world.server().machine.trace().EnableAll();
-    world.client(0).machine.trace().SetCapacity(std::size_t{1} << 15);
-    world.client(0).machine.trace().EnableAll();
-  }
 
   // Fault events interleave with the run's own events on the same loop.
   // Absolute times sit mid-schedule in both full and smoke mode.
@@ -284,21 +277,14 @@ RowResult RunRow(const RowSpec& spec) {
   // blocks and the staging fbuf legitimately stay open at quiescence, so
   // open journeys are not an error here — unbalanced or badly-ended ones
   // are, as is overflowing the journey cap.
-  const LifecycleTracker::Reconciliation rec = lifecycle.Reconcile();
-  r.journeys = lifecycle.journeys().size();
-  r.aborted_journeys = rec.aborted;
-  if (!rec.passed() || rec.dropped != 0 || r.journeys == 0) {
-    std::fprintf(stderr,
-                 "server[%s]: journey reconciliation failed: journeys=%llu "
-                 "open=%llu pin_imbalance=%llu bad_end=%llu dropped=%llu\n",
-                 spec.variant.c_str(),
-                 static_cast<unsigned long long>(r.journeys),
-                 static_cast<unsigned long long>(rec.open),
-                 static_cast<unsigned long long>(rec.pin_imbalance),
-                 static_cast<unsigned long long>(rec.bad_end),
-                 static_cast<unsigned long long>(rec.dropped));
+  const JourneyVerdict verdict = capture.Journeys(/*allow_open=*/true);
+  if (!verdict.ok) {
+    std::fprintf(stderr, "server[%s]: journey verdict failed\n",
+                 spec.variant.c_str());
     std::abort();
   }
+  r.journeys = verdict.journeys;
+  r.aborted_journeys = verdict.aborted;
   r.latency_json = world.latency().ToJson();
   const std::vector<SimTime>& wire = world.latency().wire;
   r.min_wire = wire.empty() ? 0 : *std::min_element(wire.begin(), wire.end());
@@ -345,7 +331,7 @@ RowResult RunRow(const RowSpec& spec) {
     // pinned for the flight, and finally freed — or the provenance story is
     // broken even if reconciliation balances.
     bool complete_flow = false;
-    for (const Journey& j : lifecycle.journeys()) {
+    for (const Journey& j : capture.tracker(world.server().machine).journeys()) {
       if (!j.ended || j.aborted || j.pins == 0) {
         continue;
       }
@@ -366,27 +352,8 @@ RowResult RunRow(const RowSpec& spec) {
                    spec.variant.c_str());
       std::abort();
     }
-    TraceExporter ex;
-    ex.AddHost(world.server().machine.name(), 1,
-               world.server().machine.trace());
-    ex.AddHost(world.client(0).machine.name(), 2,
-               world.client(0).machine.trace());
-    ex.AddLaneConservation("cpu/" + world.server().machine.name(),
-                           world.server().machine.attribution().ByCpu(0),
-                           world.server().machine.ElapsedNs());
-    ex.AddCounterTracks("metrics/server", 30, metrics,
-                        world.server().machine.ElapsedNs());
-    ex.AddLifecycleFlows("lifecycle/server", 31, lifecycle);
-    const std::string path = "TRACE_server.json";
-    if (ex.WriteFile(path)) {
-      std::fprintf(stderr, "wrote %s (%zu events)\n", path.c_str(),
-                   ex.event_count());
-    }
+    capture.WriteTrace();
   }
-  // The tracker and registry die with this frame while the world's teardown
-  // still frees fbufs — detach so destructors never chase a dead observer.
-  world.server().machine.AttachLifecycle(nullptr);
-  world.server().machine.AttachMetrics(nullptr);
   return r;
 }
 

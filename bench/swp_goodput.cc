@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "bench/capture.h"
 #include "src/fault/swp_world.h"
 
 namespace fbufs {
@@ -36,8 +37,8 @@ RunResult Run(std::uint32_t drop_percent, Json* attr_json = nullptr,
   cfg.fwd_loss = drop_percent;
   cfg.rev_loss = drop_percent;
   SwpWorld w(cfg);
-  MetricsRegistry metrics;
-  w.machine.AttachMetrics(&metrics);
+  RunCapture capture("swp_goodput");
+  capture.Watch(w.machine, {.metrics = true});
 
   constexpr int kMessages = 64;
   constexpr std::uint64_t kBytes = 32 * 1024;
@@ -51,9 +52,8 @@ RunResult Run(std::uint32_t drop_percent, Json* attr_json = nullptr,
     *attr_json = TimeAttributionJson(w.machine);
   }
   if (metrics_json != nullptr) {
-    *metrics_json = metrics.ToJson();
+    *metrics_json = capture.metrics().ToJson();
   }
-  w.machine.AttachMetrics(nullptr);
   return RunResult{w.sink.bytes_received() * 8.0 / seconds / 1e6,
                    static_cast<double>(w.sender.retransmissions()) / kMessages,
                    w.sender.timer_fires(), w.machine.stats().bytes_copied};

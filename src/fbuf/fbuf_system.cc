@@ -1118,11 +1118,6 @@ std::size_t FbufSystem::PendingNotices(DomainId holder, DomainId owner) const {
   return it == pending_notices_.end() ? 0 : it->second.size();
 }
 
-std::uint32_t FbufSystem::AllocatorChunks(DomainId domain, PathId path) const {
-  auto it = allocators_.find(AllocatorKey(domain, path));
-  return it == allocators_.end() ? 0 : it->second.chunks;
-}
-
 FbufSystem::AuditCounts FbufSystem::Audit() const {
   AuditCounts c;
   // Interval set of current (non-dead) fbufs, for the dangling-mapping scan.

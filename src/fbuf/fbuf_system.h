@@ -213,7 +213,6 @@ class FbufSystem {
   std::size_t PendingNotices(DomainId holder, DomainId owner) const;
   // Immediately sends an explicit deallocation message for the pair.
   void FlushNotices(DomainId holder, DomainId owner);
-  std::uint32_t AllocatorChunks(DomainId domain, PathId path) const;
   std::uint64_t RegionFreePages() const { return region_va_.free_bytes() / kPageSize; }
 
   // --- Leak audit (fault campaigns, §3.3 cleanup rules) -------------------------

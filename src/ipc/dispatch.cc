@@ -10,21 +10,6 @@ Dispatcher::Dispatcher(Machine* machine, EventLoop* loop)
   cpu_queues_.resize(machine_->num_cpus());
 }
 
-void Dispatcher::BindDomain(DomainId d, std::uint32_t cpu) {
-  assert(cpu < machine_->num_cpus());
-  assert(domain_queues_.find(d) == domain_queues_.end() &&
-         "BindDomain after the domain's queue exists");
-  bindings_[d] = cpu;
-}
-
-std::uint32_t Dispatcher::CpuForDomain(DomainId d) const {
-  auto it = bindings_.find(d);
-  if (it != bindings_.end()) {
-    return it->second;
-  }
-  return static_cast<std::uint32_t>(d) % machine_->num_cpus();
-}
-
 std::unique_ptr<DispatchQueue> Dispatcher::MakeQueue(std::uint32_t cpu,
                                                      const std::string& name) {
   auto q = std::make_unique<DispatchQueue>(loop_, &machine_->cpu_lane(cpu), name);

@@ -9,9 +9,8 @@
 // land on that lane — and pays the modeled per-dispatch scheduling cost
 // under CostDomain::kDispatch.
 //
-// Placement policy: a domain runs on CpuForDomain(d) — an explicit
-// BindDomain() pin, defaulting to round-robin by domain id. Receive
-// processing steers by VCI via CpuForVci (RSS): one flow always lands on
+// Placement policy: a domain runs on CpuForDomain(d), round-robin by domain
+// id. Receive processing steers by VCI (RssSteer): one flow always lands on
 // one lane, distinct flows spread.
 #ifndef SRC_IPC_DISPATCH_H_
 #define SRC_IPC_DISPATCH_H_
@@ -37,13 +36,8 @@ class Dispatcher {
 
   Machine& machine() { return *machine_; }
 
-  // Pins |d|'s queue to |cpu|. Only legal before the domain's queue first
-  // runs work; existing queue bindings are not migrated.
-  void BindDomain(DomainId d, std::uint32_t cpu);
-
-  std::uint32_t CpuForDomain(DomainId d) const;
-  std::uint32_t CpuForVci(std::uint32_t vci) const {
-    return RssSteer(vci, machine_->num_cpus());
+  std::uint32_t CpuForDomain(DomainId d) const {
+    return static_cast<std::uint32_t>(d) % machine_->num_cpus();
   }
 
   // Runs |work| on CPU lane |cpu|, no earlier than |ready|, serialized
@@ -80,7 +74,6 @@ class Dispatcher {
 
   Machine* machine_;
   EventLoop* loop_;
-  std::map<DomainId, std::uint32_t> bindings_;
   std::map<AttrPathId, SimTime> path_wait_ns_;
   std::vector<std::unique_ptr<DispatchQueue>> cpu_queues_;   // index = lane
   std::map<DomainId, std::unique_ptr<DispatchQueue>> domain_queues_;

@@ -1,7 +1,6 @@
 #include "src/ipc/rpc.h"
 
 #include <cassert>
-#include <memory>
 #include <utility>
 
 #include "src/ipc/dispatch.h"
@@ -95,71 +94,6 @@ void Rpc::ChargeCrossingAsync(Domain& a, Domain& b, CrossingDone done) {
       [done = std::move(done)](SimTime finish) {
         if (done) {
           done(finish);
-        }
-      });
-}
-
-void Rpc::CallAsync(Domain& caller, ServiceId svc, RpcArgs args, AsyncDone done) {
-  auto it = services_.find(svc);
-  if (it == services_.end()) {
-    if (done) {
-      done(Status::kNotFound, args, machine_->clock().Now());
-    }
-    return;
-  }
-  Domain* server = machine_->domain(it->second.server);
-  assert(server != nullptr);
-  if (UseSyncPath() || server->id() == caller.id()) {
-    const Status st = Call(caller, svc, args);
-    if (done) {
-      done(st, args, machine_->clock().Now());
-    }
-    return;
-  }
-  if (!server->alive()) {
-    if (done) {
-      done(Status::kNotFound, args, machine_->clock().Now());
-    }
-    return;
-  }
-  const SimTime ready = machine_->clock().Now();
-  const DomainId caller_id = caller.id();
-  const DomainId server_id = server->id();
-  // Shared between work (runs on the callee's lane) and completion.
-  struct CallState {
-    Status st = Status::kNotFound;
-    RpcArgs args;
-  };
-  auto state = std::make_shared<CallState>();
-  state->args = args;
-  dispatcher_->RunInDomain(
-      server_id, ready, "rpc/" + std::to_string(svc),
-      [this, caller_id, server_id, svc, state] {
-        Domain* c = machine_->domain(caller_id);
-        Domain* s = machine_->domain(server_id);
-        if (!s->alive()) {
-          state->st = Status::kNotFound;
-          return;
-        }
-        auto sit = services_.find(svc);
-        if (sit == services_.end() || sit->second.server != server_id) {
-          state->st = Status::kNotFound;
-          return;
-        }
-        TraceSpan span(machine_->trace(), TraceCategory::kIpc, "ipc-call",
-                       caller_id, server_id);
-        ChargeCrossing(*c, *s);
-        for (const PiggybackHook& hook : hooks_) {
-          hook(*c, *s);  // request direction
-        }
-        state->st = sit->second.handler(state->args);
-        for (const PiggybackHook& hook : hooks_) {
-          hook(*s, *c);  // reply direction
-        }
-      },
-      [state, done = std::move(done)](SimTime finish) {
-        if (done) {
-          done(state->st, state->args, finish);
         }
       });
 }

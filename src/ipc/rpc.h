@@ -62,19 +62,15 @@ class Rpc {
   void AddPiggybackHook(PiggybackHook hook) { hooks_.push_back(std::move(hook)); }
 
   // --- Evented path (multicore) ----------------------------------------------
-  // With a dispatcher attached and num_cpus > 1, the *Async entry points stop
-  // charging on the caller: the crossing plus handler run as a work item on
-  // the callee domain's dispatch queue (on its bound CPU lane), and the
-  // completion callback fires with the finish time on that lane. Without a
-  // dispatcher — or on a single-CPU machine — they degenerate to the exact
-  // synchronous path, so every pre-multicore schedule is preserved.
+  // With a dispatcher attached and num_cpus > 1, ChargeCrossingAsync stops
+  // charging on the caller: the crossing runs as a work item on the callee
+  // domain's dispatch queue (on its CPU lane), and the completion callback
+  // fires with the finish time on that lane. Without a dispatcher — or on a
+  // single-CPU machine — it degenerates to the exact synchronous path, so
+  // every pre-multicore schedule is preserved. The transfer rings' doorbells
+  // are its caller.
   void AttachDispatcher(Dispatcher* d) { dispatcher_ = d; }
   Dispatcher* dispatcher() { return dispatcher_; }
-
-  // |args| travel by value into the callee; the completion sees the handler's
-  // mutations (the reply message).
-  using AsyncDone = std::function<void(Status, const RpcArgs&, SimTime)>;
-  void CallAsync(Domain& caller, ServiceId svc, RpcArgs args, AsyncDone done);
 
   using CrossingDone = std::function<void(SimTime)>;
   void ChargeCrossingAsync(Domain& a, Domain& b, CrossingDone done = {});

@@ -78,14 +78,17 @@ std::string JsonQuote(const std::string& s) {
   return out + "\"";
 }
 
-bool WriteJsonFile(const std::string& path, const Json& value) {
+bool WriteTextFile(const std::string& path, const std::string& text) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     return false;
   }
-  const std::string text = value.Dump() + "\n";
-  const std::size_t n = std::fwrite(text.data(), 1, text.size(), f);
-  return std::fclose(f) == 0 && n == text.size();
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+  return std::fclose(f) == 0 && written;
+}
+
+bool WriteJsonFile(const std::string& path, const Json& value) {
+  return WriteTextFile(path, value.Dump() + "\n");
 }
 
 }  // namespace fbufs

@@ -53,6 +53,10 @@ class Json {
 // characters as \u00XX.
 std::string JsonQuote(const std::string& s);
 
+// Writes |text| to |path|; false when the file cannot be opened, written or
+// flushed. The one file writer behind every BENCH, CAMPAIGN and TRACE file.
+bool WriteTextFile(const std::string& path, const std::string& text);
+
 // Writes value.Dump() and a newline to |path|; false on I/O failure.
 bool WriteJsonFile(const std::string& path, const Json& value);
 

@@ -41,7 +41,33 @@ void TraceExporter::AddHost(const std::string& name, std::uint32_t pid, const Tr
     AppendMeta(pid, TidFor(static_cast<TraceCategory>(c)), "thread_name",
                TraceCategoryName(static_cast<TraceCategory>(c)));
   }
-  for (const TraceEvent& ev : trace.Snapshot()) {
+  const std::vector<TraceEvent> events = trace.Snapshot();
+  // A wrapped ring overwrote its oldest events: one instant where the
+  // surviving timeline starts says how many, so a partial trace reads as
+  // partial.
+  if (trace.total_emitted() > events.size()) {
+    ExportEvent e;
+    e.pid = pid;
+    e.tid = TidFor(TraceCategory::kPhase);
+    e.ts = events.front().time;
+    e.name = "trace_wrapped";
+    e.cat = TraceCategoryName(TraceCategory::kPhase);
+    e.args = "\"overwritten\":" + std::to_string(trace.total_emitted() - events.size());
+    events_.push_back(std::move(e));
+  }
+  // Open spans per lane. An end whose begin the ring overwrote is dropped,
+  // so the export stays bracketed.
+  std::uint64_t depth[static_cast<std::size_t>(TraceCategory::kCount)] = {};
+  for (const TraceEvent& ev : events) {
+    std::uint64_t& open = depth[static_cast<std::size_t>(ev.category)];
+    if (ev.phase == TracePhase::kEnd) {
+      if (open == 0) {
+        continue;
+      }
+      open--;
+    } else if (ev.phase == TracePhase::kBegin) {
+      open++;
+    }
     ExportEvent e;
     e.pid = pid;
     e.tid = TidFor(ev.category);
@@ -255,14 +281,7 @@ std::string TraceExporter::ToJson() const {
 }
 
 bool TraceExporter::WriteFile(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return false;
-  }
-  const std::string json = ToJson();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  return n == json.size();
+  return WriteTextFile(path, ToJson());
 }
 
 }  // namespace fbufs

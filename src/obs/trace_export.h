@@ -33,7 +33,9 @@ class LifecycleTracker;
 class TraceExporter {
  public:
   // Adds one host's trace ring as a process lane group. |pid| must be unique
-  // per host; the snapshot is taken at call time.
+  // per host; the snapshot is taken at call time. When the ring wrapped, a
+  // "trace_wrapped" instant on the phase lane carries the overwritten event
+  // count, and every end whose begin was overwritten is dropped.
   void AddHost(const std::string& name, std::uint32_t pid, const Trace& trace);
 
   // Adds a resource's recorded busy intervals (requires
@@ -66,7 +68,7 @@ class TraceExporter {
   // The complete trace document: {"traceEvents":[...],"displayTimeUnit":"ns"}.
   std::string ToJson() const;
 
-  // Writes ToJson() to |path|; returns false on I/O failure.
+  // Writes ToJson() to |path| (WriteTextFile); false on I/O failure.
   bool WriteFile(const std::string& path) const;
 
   std::size_t event_count() const { return events_.size(); }

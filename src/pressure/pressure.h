@@ -84,12 +84,10 @@ class PressureManager : public PressureHooks {
   // pageout stage: cold pinned fbufs (pinned longer than kPageoutMinAge)
   // are written to backing store — their contents must survive for the
   // retransmission, so unlike free-listed memory they are paged, never
-  // discarded. Ledgers must outlive the manager or be detached by
-  // DetachRetransmitLedgers.
+  // discarded. Ledgers must outlive the manager.
   void AttachRetransmitLedger(const RetransmitLedger* ledger) {
     ledgers_.push_back(ledger);
   }
-  void DetachRetransmitLedgers() { ledgers_.clear(); }
 
   // --- Credit flow control ----------------------------------------------------
   // The receiver-side grant calculator: how many PDUs of |pdu_pages| pages

@@ -86,14 +86,6 @@ std::uint64_t RingHub::TotalSubmitted() const {
   return n;
 }
 
-std::uint64_t RingHub::TotalConsumed() const {
-  std::uint64_t n = 0;
-  for (const auto& [key, ring] : rings_) {
-    n += ring->stats().consumed;
-  }
-  return n;
-}
-
 std::uint64_t RingHub::TotalDoorbells() const {
   std::uint64_t n = 0;
   for (const auto& [key, ring] : rings_) {

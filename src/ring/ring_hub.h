@@ -64,7 +64,6 @@ class RingHub : public RingNoticeTransport {
   // --- Aggregates across all rings (bench JSON) -----------------------------
   std::map<AttrPathId, SimTime> PathOccupancyNs() const;
   std::uint64_t TotalSubmitted() const;
-  std::uint64_t TotalConsumed() const;
   std::uint64_t TotalDoorbells() const;
   std::uint64_t TotalSqFull() const;
 

@@ -157,64 +157,35 @@ TEST(RssSteer, DeterministicAndInRange) {
   EXPECT_TRUE(spread);
 }
 
-// --- ipc layer: evented RPC ---------------------------------------------------
+// --- ipc layer: evented crossings --------------------------------------------
 
-TEST(Dispatcher, CallAsyncMatchesSyncOnSingleCpu) {
-  // With one CPU there is no dispatcher; CallAsync must take the synchronous
-  // fast path: completion before CallAsync returns, same charges as Call.
-  Machine m_sync{MachineConfig{}};
-  Rpc rpc_sync(&m_sync);
-  Domain* a1 = m_sync.CreateDomain("a");
-  rpc_sync.RegisterService(m_sync.kernel(), 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
-  ASSERT_EQ(rpc_sync.Call(*a1, 1, args), Status::kOk);
-  const SimTime sync_elapsed = m_sync.clock().Now();
-
-  Machine m{MachineConfig{}};
-  Rpc rpc(&m);
-  Domain* a = m.CreateDomain("a");
-  rpc.RegisterService(m.kernel(), 1, [](RpcArgs&) { return Status::kOk; });
-  bool completed = false;
-  rpc.CallAsync(*a, 1, RpcArgs{}, [&](Status st, const RpcArgs&, SimTime) {
-    completed = true;
-    EXPECT_EQ(st, Status::kOk);
-  });
-  EXPECT_TRUE(completed);
-  EXPECT_EQ(m.clock().Now(), sync_elapsed);
-}
-
-TEST(Dispatcher, CallAsyncRunsOnCalleeLane) {
+TEST(Dispatcher, ChargeCrossingAsyncRunsOnCalleeLane) {
   Machine m(Multicore(2));
   EventLoop loop;
   Rpc rpc(&m);
   Dispatcher disp(&m, &loop);
   rpc.AttachDispatcher(&disp);
+  // Domain 1 lands on lane 1, away from the active lane 0 where the
+  // synchronous path would charge.
+  Domain* callee = m.CreateDomain("callee");
   Domain* caller = m.CreateDomain("caller");
-  Domain* server = m.CreateDomain("server");
-  const std::uint32_t server_cpu = disp.CpuForDomain(server->id());
-  std::uint32_t handler_cpu = 999;
-  rpc.RegisterService(*server, 7, [&](RpcArgs&) {
-    handler_cpu = m.active_cpu();
-    m.clock().Advance(500);
-    return Status::kOk;
-  });
+  const std::uint32_t callee_cpu = disp.CpuForDomain(callee->id());
+  ASSERT_NE(callee_cpu, m.active_cpu());
   bool finished = false;
-  Status result = Status::kNotFound;
   SimTime finish = 0;
-  rpc.CallAsync(*caller, 7, RpcArgs{}, [&](Status st, const RpcArgs&, SimTime t) {
+  rpc.ChargeCrossingAsync(*caller, *callee, [&](SimTime t) {
     finished = true;
-    result = st;
     finish = t;
   });
-  // Evented path: nothing ran yet — the call is queued on the server's lane.
+  // Evented path: nothing ran yet — the crossing is queued on the callee's lane.
   EXPECT_FALSE(finished);
   loop.Run();
-  EXPECT_EQ(result, Status::kOk);
-  EXPECT_EQ(handler_cpu, server_cpu);
-  // The handler's 500 ns plus crossing and dispatch costs all landed on the
-  // server's lane; the finish time is that lane's clock.
-  EXPECT_EQ(finish, m.cpu_clock(server_cpu).Now());
-  EXPECT_GE(m.cpu_clock(server_cpu).Now(), 500u);
+  EXPECT_TRUE(finished);
+  // The crossing and dispatch costs all landed on the callee's lane; the
+  // finish time is that lane's clock.
+  EXPECT_GT(m.cpu_clock(callee_cpu).Now(), 0u);
+  EXPECT_EQ(m.cpu_clock(m.active_cpu()).Now(), 0u);
+  EXPECT_EQ(finish, m.cpu_clock(callee_cpu).Now());
 }
 
 TEST(Dispatcher, DomainQueueSerializesSharedLane) {

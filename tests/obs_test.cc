@@ -448,6 +448,54 @@ TEST(TraceExport, ResourceBusyIntervalsBecomeCompleteEvents) {
   EXPECT_EQ(r.intervals().size(), 2u);
 }
 
+TEST(TraceExport, WrappedRingExportsNoEndWithoutItsBegin) {
+  SimClock clock;
+  Trace t(&clock, /*capacity=*/4);
+  t.EnableAll();
+  t.Begin(TraceCategory::kFbuf, "span");
+  for (int i = 0; i < 5; ++i) {
+    clock.Advance(10);
+    t.Emit(TraceCategory::kFbuf, "tick");
+  }
+  t.End(TraceCategory::kFbuf, "span");
+  ASSERT_EQ(t.total_emitted(), 7u);
+  TraceExporter ex;
+  ex.AddHost("host", 1, t);
+  const std::string j = ex.ToJson();
+  // The ring kept tick 3..5 and the end; the end's begin was overwritten.
+  EXPECT_EQ(j.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_NE(j.find("\"ph\":\"i\""), std::string::npos);
+  // The wrap is recorded where the surviving timeline starts (tick 3).
+  EXPECT_NE(j.find("{\"name\":\"trace_wrapped\",\"ph\":\"i\",\"pid\":1,\"tid\":5,"
+                   "\"ts\":0.030,\"s\":\"t\",\"cat\":\"phase\","
+                   "\"args\":{\"overwritten\":3}}"),
+            std::string::npos);
+}
+
+TEST(TraceExport, UnwrappedRingExportsEveryEventUnmarked) {
+  SimClock clock;
+  Trace t(&clock, /*capacity=*/8);
+  t.EnableAll();
+  {
+    TraceSpan span(t, TraceCategory::kFbuf, "span");
+    t.Emit(TraceCategory::kFbuf, "tick");
+  }
+  TraceExporter ex;
+  ex.AddHost("host", 1, t);
+  const std::string j = ex.ToJson();
+  EXPECT_NE(j.find("\"ph\":\"B\""), std::string::npos);
+  EXPECT_NE(j.find("\"ph\":\"E\""), std::string::npos);
+  EXPECT_EQ(j.find("trace_wrapped"), std::string::npos);
+}
+
+// Both writers go through WriteTextFile, which checks the flush: /dev/full
+// accepts the open and the buffered write, and fails only at fclose.
+TEST(TraceExport, WritersReportAFailedFlush) {
+  EXPECT_FALSE(WriteJsonFile("/dev/full", Json(Json::Object{{"a", 1}})));
+  EXPECT_FALSE(TraceExporter().WriteFile("/dev/full"));
+  EXPECT_FALSE(WriteTextFile("/nonexistent-dir/file.json", "x"));
+}
+
 TEST(TraceExport, RecordingOffKeepsNoIntervals) {
   Resource r("wire/test");
   r.Acquire(/*now=*/100, /*duration=*/50);

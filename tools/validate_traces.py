@@ -36,7 +36,8 @@ carry at least one lifecycle flow and at least one histogram counter track
 
 Exits non-zero on the first violation. The validate_golden_reports ctest
 runs it over every committed golden report; CI runs it over the TRACE,
-BENCH and CAMPAIGN files the smoke benches write.
+BENCH and CAMPAIGN files the smoke benches write, and over the traces of a
+full-size campaigns run, whose server_churn ring wraps.
 """
 import json
 import os
