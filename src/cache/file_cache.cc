@@ -1,9 +1,23 @@
 #include "src/cache/file_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 namespace fbufs {
+namespace {
+
+// kRamp[j] == j mod 256, long enough that a page-sized run can start at any
+// of the 256 phases.
+constexpr std::array<std::uint8_t, kPageSize + 256> kRamp = [] {
+  std::array<std::uint8_t, kPageSize + 256> ramp{};
+  for (std::size_t j = 0; j < ramp.size(); ++j) {
+    ramp[j] = static_cast<std::uint8_t>(j);
+  }
+  return ramp;
+}();
+
+}  // namespace
 
 FileCache::FileCache(FbufSystem* fsys, const FileCacheConfig& config)
     : fsys_(fsys), config_(config), kernel_(&fsys->machine().kernel()) {
@@ -34,7 +48,7 @@ Status FileCache::FetchFromDisk(const Key& key, Message* out) {
   machine.clock().Advance(config_.block_bytes * 8 * 1000 / config_.disk_mbps);
   disk_reads_++;
   // Deterministic content so tests can verify identity: byte i of block b of
-  // file f is a simple mix of (f, b, i).
+  // file f is (f*37 + b*11 + i) mod 256, so each page is one run of kRamp.
   for (std::uint64_t page = 0; page < fb->pages; ++page) {
     const FrameId frame = kernel_->DebugFrame(PageOf(fb->base) + page);
     if (frame == kInvalidFrame) {
@@ -46,9 +60,7 @@ Status FileCache::FetchFromDisk(const Key& key, Message* out) {
     const std::uint64_t n =
         base < config_.block_bytes ? std::min(kPageSize, config_.block_bytes - base) : 0;
     const std::uint64_t seed = key.file * 37 + key.block * 11 + base;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      data[i] = static_cast<std::uint8_t>(seed + i);
-    }
+    std::memcpy(data, kRamp.data() + seed % 256, n);
   }
   *out = Message::Leaf(fb, 0, config_.block_bytes);
   return Status::kOk;
@@ -83,6 +95,12 @@ bool FileCache::Evict(const Key& key, EvictReason reason) {
 }
 
 bool FileCache::EvictOneUnpinned(EvictReason reason) {
+  // Every resident block pinned: the walk below would count each one and
+  // find no victim.
+  if (pinned_blocks_ == blocks_.size()) {
+    pin_blocked_evictions_ += blocks_.size();
+    return false;
+  }
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     auto bit = blocks_.find(*it);
     if (bit == blocks_.end() || bit->second.pins > 0) {

@@ -96,8 +96,9 @@ class FileCache {
   std::uint64_t resident_blocks() const { return blocks_.size(); }
   std::uint64_t pinned_blocks() const { return pinned_blocks_; }
   std::uint64_t total_pins() const { return total_pins_; }
-  // Eviction attempts (direct or scan passes) refused because the victim
-  // was pinned.
+  // Eviction attempts refused because the victim was pinned: one per direct
+  // attempt, and one per pinned block an LRU scan passes over, so a scan
+  // that finds every resident block pinned counts them all.
   std::uint64_t pin_blocked_evictions() const { return pin_blocked_evictions_; }
   const FileCacheConfig& config() const { return config_; }
 

@@ -1,5 +1,7 @@
 #include "src/sim/event_loop.h"
 
+#include <algorithm>
+
 namespace fbufs {
 
 EventLoop::EventId EventLoop::Schedule(SimTime t, std::string label, Handler fn) {
@@ -10,7 +12,8 @@ EventLoop::EventId EventLoop::Schedule(SimTime t, std::string label, Handler fn)
   e.seq = id;
   e.label = std::move(label);
   e.fn = std::move(fn);
-  queue_.push(std::move(e));
+  queue_.push_back(std::move(e));
+  std::push_heap(queue_.begin(), queue_.end(), Later());
   live_.insert(id);
   return id;
 }
@@ -25,9 +28,10 @@ bool EventLoop::Cancel(EventId id) {
 }
 
 void EventLoop::PurgeCancelledTop() {
-  while (!queue_.empty() && cancelled_.count(queue_.top().seq) != 0) {
-    cancelled_.erase(queue_.top().seq);
-    queue_.pop();
+  while (!queue_.empty() && cancelled_.count(queue_.front().seq) != 0) {
+    cancelled_.erase(queue_.front().seq);
+    std::pop_heap(queue_.begin(), queue_.end(), Later());
+    queue_.pop_back();
   }
 }
 
@@ -36,8 +40,10 @@ bool EventLoop::RunOne() {
   if (queue_.empty()) {
     return false;
   }
-  Event e = queue_.top();
-  queue_.pop();
+  // Move, not copy: a deliver event's handler owns the PDU's payload.
+  std::pop_heap(queue_.begin(), queue_.end(), Later());
+  Event e = std::move(queue_.back());
+  queue_.pop_back();
   live_.erase(e.seq);
   now_ = e.time;
   HashDispatch(e);
@@ -58,7 +64,7 @@ std::uint64_t EventLoop::RunUntil(SimTime t) {
   std::uint64_t n = 0;
   for (;;) {
     PurgeCancelledTop();
-    if (queue_.empty() || queue_.top().time > t || !RunOne()) {
+    if (queue_.empty() || queue_.front().time > t || !RunOne()) {
       break;
     }
     n++;

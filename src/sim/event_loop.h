@@ -19,7 +19,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -108,7 +107,9 @@ class EventLoop {
   // Discards cancelled events from the queue head so callers see live state.
   void PurgeCancelledTop();
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  // A binary heap under Later (std::push_heap/std::pop_heap), so the front
+  // is the earliest event and dispatch can move it out.
+  std::vector<Event> queue_;
   std::unordered_set<EventId> live_;       // scheduled, not yet dispatched
   std::unordered_set<EventId> cancelled_;  // cancelled, still in the queue
   std::uint64_t cancelled_total_ = 0;

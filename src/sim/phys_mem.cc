@@ -17,19 +17,18 @@ PhysMem::PhysMem(std::uint32_t frames, SimClock* clock, const CostParams* costs,
   if (arena_ == nullptr) {
     throw std::bad_alloc();
   }
-  free_list_.reserve(frames);
-  // Hand frames out in ascending order: push in reverse so pop_back yields 0 first.
-  for (std::uint32_t i = frames; i > 0; --i) {
-    free_list_.push_back(i - 1);
-  }
 }
 
 std::optional<FrameId> PhysMem::Allocate(bool clear) {
-  if (free_list_.empty()) {
+  FrameId frame = kInvalidFrame;
+  if (!free_list_.empty()) {
+    frame = free_list_.back();
+    free_list_.pop_back();
+  } else if (next_fresh_ < total_frames_) {
+    frame = next_fresh_++;
+  } else {
     return std::nullopt;
   }
-  const FrameId frame = free_list_.back();
-  free_list_.pop_back();
   refcount_[frame] = 1;
   stats_->pages_allocated++;
   if (clear) {

@@ -4,6 +4,11 @@
 // observable as two domains translating to the same frame; a copying
 // facility performs an actual memcpy between frames. Frames are reference
 // counted so copy-on-write and shared fbuf mappings can share them.
+//
+// Frame order: fresh frames come from a watermark, in ascending order from
+// 0. A freed frame goes on a free list and is reused last-in first-out,
+// ahead of any frame never handed out. Set-up lists no frames, so apart
+// from the zeroed reference-count table it is O(1) in the number of frames.
 #ifndef SRC_SIM_PHYS_MEM_H_
 #define SRC_SIM_PHYS_MEM_H_
 
@@ -61,7 +66,9 @@ class PhysMem {
   const std::uint8_t* Data(FrameId frame) const;
 
   std::uint32_t total_frames() const { return total_frames_; }
-  std::uint32_t free_frames() const { return static_cast<std::uint32_t>(free_list_.size()); }
+  std::uint32_t free_frames() const {
+    return static_cast<std::uint32_t>(free_list_.size()) + (total_frames_ - next_fresh_);
+  }
 
  private:
   std::uint32_t total_frames_;
@@ -75,7 +82,8 @@ class PhysMem {
   // fault in) every page before the first event.
   std::unique_ptr<std::uint8_t[], FreeDeleter> arena_;
   std::vector<std::uint32_t> refcount_;
-  std::vector<FrameId> free_list_;
+  std::vector<FrameId> free_list_;  // freed frames, reused last-in first-out
+  FrameId next_fresh_ = 0;          // frames [next_fresh_, total_frames_) never allocated
 };
 
 }  // namespace fbufs

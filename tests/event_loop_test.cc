@@ -139,6 +139,29 @@ TEST(EventLoop, IdenticalSchedulesHashIdentically) {
   EXPECT_NE(a.trace_hash(), c.trace_hash());
 }
 
+// Dispatch moves each event out of the queue: a handler's closure (for a
+// deliver event, the PDU's payload) is never copied.
+TEST(EventLoop, DispatchMovesTheHandler) {
+  struct CopyCounter {
+    int* copies;
+    explicit CopyCounter(int* c) : copies(c) {}
+    CopyCounter(const CopyCounter& o) : copies(o.copies) { ++*copies; }
+    CopyCounter(CopyCounter&&) = default;
+  };
+  EventLoop loop;
+  int copies = 0;
+  int ran = 0;
+  for (SimTime t : {30u, 10u, 20u, 10u, 40u}) {
+    loop.Schedule(t, "e", [counter = CopyCounter(&copies), &ran] {
+      (void)counter;
+      ran++;
+    });
+  }
+  EXPECT_EQ(loop.Run(), 5u);
+  EXPECT_EQ(ran, 5);
+  EXPECT_EQ(copies, 0);
+}
+
 TEST(Resource, AcquireIsBusyUntilAlgebra) {
   Resource r("dma");
   // Idle resource: starts at ready.

@@ -49,19 +49,25 @@ TEST_F(FileCacheTest, MissThenHit) {
 }
 
 TEST_F(FileCacheTest, ReadContentIsDeterministicAndReadable) {
-  FileCache cache(&world_.fsys, SmallConfig());
-  Message m;
-  ASSERT_EQ(cache.Read(3, 7, *app_, &m), Status::kOk);
-  EXPECT_EQ(m.length(), 8192u);
-  // Every byte of both pages: byte i of the block is (f*37 + b*11 + i) mod 256.
-  std::vector<std::uint8_t> data(8192);
-  ASSERT_EQ(m.CopyOut(*app_, 0, data.data(), data.size()), Status::kOk);
-  for (std::uint64_t i = 0; i < data.size(); ++i) {
-    ASSERT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i)) << "byte " << i;
+  // Two full pages, and a block that ends mid-way through its second page.
+  for (const std::uint64_t block_bytes : {8192u, 6000u}) {
+    SCOPED_TRACE(block_bytes);
+    FileCacheConfig config = SmallConfig();
+    config.block_bytes = block_bytes;
+    FileCache cache(&world_.fsys, config);
+    Message m;
+    ASSERT_EQ(cache.Read(3, 7, *app_, &m), Status::kOk);
+    EXPECT_EQ(m.length(), block_bytes);
+    // Every byte: byte i of the block is (f*37 + b*11 + i) mod 256.
+    std::vector<std::uint8_t> data(block_bytes);
+    ASSERT_EQ(m.CopyOut(*app_, 0, data.data(), data.size()), Status::kOk);
+    for (std::uint64_t i = 0; i < data.size(); ++i) {
+      ASSERT_EQ(data[i], static_cast<std::uint8_t>(3 * 37 + 7 * 11 + i)) << "byte " << i;
+    }
+    // The application cannot scribble on the cache.
+    EXPECT_EQ(m.Touch(*app_, Access::kWrite), Status::kProtection);
+    ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
   }
-  // The application cannot scribble on the cache.
-  EXPECT_EQ(m.Touch(*app_, Access::kWrite), Status::kProtection);
-  ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
 }
 
 TEST_F(FileCacheTest, TwoReadersShareOnePhysicalBlock) {
@@ -290,6 +296,42 @@ TEST_F(FileCacheTest, CapacityEvictionSkipsPinnedBlocks) {
   EXPECT_TRUE(cache.Resident(1, 0));  // survived despite being coldest
   EXPECT_FALSE(cache.Resident(1, 1));  // the next-coldest paid instead
   ASSERT_EQ(cache.Unpin(1, 0), Status::kOk);
+}
+
+// pin_blocked_evictions counts one per pinned block an LRU scan passes
+// over before it finds a victim, and every resident block when it finds none.
+TEST_F(FileCacheTest, PinBlockedEvictionsCountEachPinnedBlockScanned) {
+  FileCache cache(&world_.fsys, SmallConfig());  // capacity 4
+  auto touch = [&](std::uint64_t b) {
+    Message m;
+    ASSERT_EQ(cache.Read(1, b, *app_, &m), Status::kOk);
+    ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
+  };
+  for (std::uint64_t b = 0; b < 4; ++b) {
+    touch(b);
+    ASSERT_EQ(cache.Pin(1, b), Status::kOk);
+  }
+
+  // Every resident block pinned: the miss counts all four, evicts nothing,
+  // and the cache goes one block over capacity.
+  touch(4);
+  EXPECT_EQ(cache.pin_blocked_evictions(), 4u);
+  EXPECT_EQ(cache.capacity_evictions(), 0u);
+  EXPECT_EQ(cache.resident_blocks(), 5u);
+
+  // Pin the newcomer too, then unpin block 2, in the middle of the LRU
+  // order (oldest first: 0 1 2 3 4). The next miss passes over blocks 0 and
+  // 1 and evicts block 2. The cache is then still at capacity with every
+  // block pinned, so a second scan counts all four and gives up.
+  ASSERT_EQ(cache.Pin(1, 4), Status::kOk);
+  ASSERT_EQ(cache.Unpin(1, 2), Status::kOk);
+  touch(5);
+  EXPECT_EQ(cache.pin_blocked_evictions(), 4u + 2u + 4u);
+  EXPECT_EQ(cache.capacity_evictions(), 1u);
+  EXPECT_FALSE(cache.Resident(1, 2));
+  for (const std::uint64_t b : {0u, 1u, 3u, 4u, 5u}) {
+    EXPECT_TRUE(cache.Resident(1, b)) << "block " << b;
+  }
 }
 
 TEST_F(FileCacheTest, WriteToPinnedBlockIsRefused) {

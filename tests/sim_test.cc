@@ -110,6 +110,41 @@ TEST(PhysMem, ExhaustionReturnsNullopt) {
   EXPECT_FALSE(pm.Allocate(false).has_value());
 }
 
+// Fresh frames come out ascending from 0; freed frames are reused
+// last-in first-out before any frame never handed out.
+TEST(PhysMem, FrameOrderIsAscendingThenFreedFramesLifoFirst) {
+  SimClock clock;
+  CostParams costs = CostParams::Zero();
+  SimStats stats;
+  PhysMem pm(6, &clock, &costs, &stats);
+  auto take = [&pm] {
+    const auto f = pm.Allocate(false);
+    return f.has_value() ? *f : kInvalidFrame;
+  };
+  for (FrameId want = 0; want < 4; ++want) {
+    EXPECT_EQ(take(), want);
+  }
+  EXPECT_EQ(pm.free_frames(), 2u);
+  pm.Unref(1);
+  pm.Unref(3);
+  EXPECT_EQ(pm.free_frames(), 4u);  // two freed + two never used
+  EXPECT_EQ(take(), 3u);
+  EXPECT_EQ(take(), 1u);
+  EXPECT_EQ(pm.free_frames(), 2u);
+  EXPECT_EQ(take(), 4u);
+  pm.Unref(0);
+  EXPECT_EQ(pm.free_frames(), 2u);
+  EXPECT_EQ(take(), 0u);
+  EXPECT_EQ(take(), 5u);
+  EXPECT_EQ(pm.free_frames(), 0u);
+  // Exhausted at exactly total_frames() frames in use.
+  EXPECT_FALSE(pm.Allocate(false).has_value());
+  pm.Unref(2);
+  EXPECT_EQ(pm.free_frames(), 1u);
+  EXPECT_EQ(take(), 2u);
+  EXPECT_FALSE(pm.Allocate(false).has_value());
+}
+
 TEST(PhysMem, ClearChargesAndZeroes) {
   SimClock clock;
   CostParams costs = CostParams::DecStation5000();
