@@ -66,15 +66,7 @@ Status FileCache::FetchFromDisk(const Key& key, Message* out) {
   return Status::kOk;
 }
 
-bool FileCache::Evict(const Key& key, EvictReason reason) {
-  auto it = blocks_.find(key);
-  if (it == blocks_.end()) {
-    return false;
-  }
-  if (it->second.pins > 0) {
-    pin_blocked_evictions_++;
-    return false;
-  }
+void FileCache::Evict(std::map<Key, CachedBlock>::iterator it, EvictReason reason) {
   for (Fbuf* fb : it->second.content.Fbufs()) {
     fsys_->Free(fb, *kernel_);
   }
@@ -84,14 +76,10 @@ bool FileCache::Evict(const Key& key, EvictReason reason) {
     case EvictReason::kCapacity:
       capacity_evictions_++;
       break;
-    case EvictReason::kOverwrite:
-      overwrite_evictions_++;
-      break;
     case EvictReason::kPressure:
       pressure_evictions_++;
       break;
   }
-  return true;
 }
 
 bool FileCache::EvictOneUnpinned(EvictReason reason) {
@@ -107,8 +95,8 @@ bool FileCache::EvictOneUnpinned(EvictReason reason) {
       pin_blocked_evictions_++;
       continue;
     }
-    const Key victim = *it;  // copy: Evict erases the list node behind *it
-    return Evict(victim, reason);
+    Evict(bit, reason);
+    return true;
   }
   return false;
 }
@@ -134,8 +122,8 @@ Status FileCache::Read(FileId file, std::uint64_t block, Domain& reader, Message
   }
   // Grant the reader references; read-only mappings are built on first use
   // and retained afterwards (the block's "path" warms per reader). A
-  // partial grant (dead reader, quota) rolls back so the failure leaves the
-  // reader holding nothing.
+  // partial grant (dead reader) rolls back so the failure leaves the reader
+  // holding nothing.
   std::vector<Fbuf*> granted;
   for (Fbuf* fb : it->second.content.Fbufs()) {
     const Status st = fsys_->Transfer(fb, *kernel_, reader);
@@ -157,48 +145,6 @@ Status FileCache::Release(const Message& m, Domain& reader) {
     if (!Ok(st)) {
       return st;
     }
-  }
-  return Status::kOk;
-}
-
-Status FileCache::Write(FileId file, std::uint64_t block, Domain& writer, const Message& m) {
-  if (m.length() != config_.block_bytes) {
-    return Status::kInvalidArgument;
-  }
-  const Key key{file, block};
-  // A pinned block has readers mid-transfer: replacing its content now
-  // would yank frames out from under them. Busy — retry once they unpin.
-  auto existing = blocks_.find(key);
-  if (existing != blocks_.end() && existing->second.pins > 0) {
-    pin_blocked_evictions_++;
-    return Status::kExhausted;
-  }
-  // Capture by reference and freeze: the cache must not be exposed to
-  // asynchronous modification by the writer (volatile fbufs are secured).
-  // A partial capture rolls the kernel's references back out.
-  std::vector<Fbuf*> captured;
-  auto rollback = [&](Status st) {
-    for (Fbuf* c : captured) {
-      fsys_->Free(c, *kernel_);
-    }
-    return st;
-  };
-  for (Fbuf* fb : m.Fbufs()) {
-    Status st = fsys_->Transfer(fb, writer, *kernel_);
-    if (!Ok(st)) {
-      return rollback(st);
-    }
-    captured.push_back(fb);
-    st = fsys_->Secure(fb, *kernel_);
-    if (!Ok(st)) {
-      return rollback(st);
-    }
-  }
-  Evict(key, EvictReason::kOverwrite);
-  lru_.push_front(key);
-  blocks_.emplace(key, CachedBlock{m, lru_.begin()});
-  while (blocks_.size() > config_.capacity_blocks &&
-         EvictOneUnpinned(EvictReason::kCapacity)) {
   }
   return Status::kOk;
 }

@@ -8,8 +8,6 @@
 //     a zero-copy read();
 //   * the same block can be shared by any number of readers, safely,
 //     because fbufs are immutable;
-//   * a write is the application's own immutable fbuf captured by
-//     reference — a zero-copy write();
 //   * cache memory competes with network buffering in one physical pool,
 //     and eviction returns fbufs to their path's free list.
 // (This is the design direction that later became IO-Lite.)
@@ -59,23 +57,15 @@ class FileCache {
 
   // --- Pinning ---------------------------------------------------------------
   // A pinned block cannot be evicted — not by capacity churn, not by a
-  // pressure Shrink, not by an overwrite — until its pin count drops to
-  // zero. The serve subsystem pins blocks it has in flight on the network
-  // and unpins when the flow's dealloc notice returns (§3.3), so pressure
-  // sweeps can never pull a frame out from under an unfinished transfer.
+  // pressure Shrink — until its pin count drops to zero. The serve
+  // subsystem pins blocks it has in flight on the network and unpins when
+  // the flow's dealloc notice returns (§3.3), so pressure sweeps can never
+  // pull a frame out from under an unfinished transfer.
   // Pin/Unpin address resident blocks only: kNotFound otherwise.
   Status Pin(FileId file, std::uint64_t block);
   Status Unpin(FileId file, std::uint64_t block);
   bool IsPinned(FileId file, std::uint64_t block) const;
   bool Resident(FileId file, std::uint64_t block) const;
-
-  // Zero-copy write: captures a reference to the application's immutable
-  // aggregate as the block's new content (the old block is dropped). |m|
-  // must be exactly block_bytes long and the writer must hold its fbufs.
-  // Writing over a pinned block returns kExhausted (busy — retryable once
-  // the in-flight readers unpin); partial capture failures roll back the
-  // kernel references already taken.
-  Status Write(FileId file, std::uint64_t block, Domain& writer, const Message& m);
 
   // Drops clean blocks, least recently used first, until at most
   // |target_blocks| remain (a pressure-driven eviction). Pinned blocks are
@@ -85,20 +75,17 @@ class FileCache {
 
   std::uint64_t hits() const { return hits_; }
   std::uint64_t misses() const { return misses_; }
-  // Memory-driven evictions: capacity + pressure. Overwrites drop the old
-  // block too, but that is content replacement, not memory reclaim, so they
-  // are counted separately.
+  // Memory-driven evictions: capacity + pressure.
   std::uint64_t evictions() const { return capacity_evictions_ + pressure_evictions_; }
   std::uint64_t capacity_evictions() const { return capacity_evictions_; }
-  std::uint64_t overwrite_evictions() const { return overwrite_evictions_; }
   std::uint64_t pressure_evictions() const { return pressure_evictions_; }
   std::uint64_t disk_reads() const { return disk_reads_; }
   std::uint64_t resident_blocks() const { return blocks_.size(); }
   std::uint64_t pinned_blocks() const { return pinned_blocks_; }
   std::uint64_t total_pins() const { return total_pins_; }
-  // Eviction attempts refused because the victim was pinned: one per direct
-  // attempt, and one per pinned block an LRU scan passes over, so a scan
-  // that finds every resident block pinned counts them all.
+  // Eviction attempts refused because the victim was pinned: one per pinned
+  // block an LRU scan passes over, so a scan that finds every resident
+  // block pinned counts them all.
   std::uint64_t pin_blocked_evictions() const { return pin_blocked_evictions_; }
   const FileCacheConfig& config() const { return config_; }
 
@@ -112,8 +99,7 @@ class FileCache {
   };
 
   struct CachedBlock {
-    // Content is either a kernel-originated fbuf (read path) or a captured
-    // application aggregate (write path); either way, immutable.
+    // The kernel-originated fbuf read from disk; immutable.
     Message content;
     std::list<Key>::iterator lru_pos;
     // In-flight references held by servers (FileServer pins blocks for the
@@ -122,12 +108,12 @@ class FileCache {
   };
 
   // Why a block is being dropped; each reason has its own counter.
-  enum class EvictReason { kCapacity, kOverwrite, kPressure };
+  enum class EvictReason { kCapacity, kPressure };
 
   void TouchLru(const Key& key, CachedBlock& cb);
   Status FetchFromDisk(const Key& key, Message* out);
-  // Returns true if the block was resident, unpinned, and got dropped.
-  bool Evict(const Key& key, EvictReason reason);
+  // Drops the resident, unpinned block |it| points at.
+  void Evict(std::map<Key, CachedBlock>::iterator it, EvictReason reason);
   // Evicts the least-recently-used unpinned block; false when every
   // resident block is pinned (the cache transiently exceeds its target).
   bool EvictOneUnpinned(EvictReason reason);
@@ -142,7 +128,6 @@ class FileCache {
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
   std::uint64_t capacity_evictions_ = 0;
-  std::uint64_t overwrite_evictions_ = 0;
   std::uint64_t pressure_evictions_ = 0;
   std::uint64_t disk_reads_ = 0;
   std::uint64_t pinned_blocks_ = 0;

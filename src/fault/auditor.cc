@@ -69,9 +69,4 @@ SwpAuditResult InvariantAuditor::AuditSwp(const Transport& sender,
   return r;
 }
 
-bool InvariantAuditor::LedgerConsistent(const Transport& sender) {
-  const RetransmitLedger* ledger = sender.ledger();
-  return ledger == nullptr || ledger->pinned_pdus() == sender.unacked();
-}
-
 }  // namespace fbufs

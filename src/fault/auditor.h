@@ -69,10 +69,6 @@ class InvariantAuditor {
   // flow that stopped, not a dead one that was cleaned up.
   static SwpAuditResult AuditSwp(const Transport& sender,
                                  const Transport& receiver, Machine& m);
-
-  // Mid-flow ledger invariant: pinned PDUs == the sender's unacked window.
-  // Call any time, quiescent or not.
-  static bool LedgerConsistent(const Transport& sender);
 };
 
 }  // namespace fbufs

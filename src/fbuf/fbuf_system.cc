@@ -196,13 +196,6 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
     }
   }
 
-  // Carving grows the domain's footprint: charge the quota (shrinking the
-  // domain's own free lists first if that is what stands in the way).
-  const Status quota_st = ChargeQuota(originator, pages);
-  if (!Ok(quota_st)) {
-    return quota_st;
-  }
-
   // Carve a new fbuf out of the allocator's chunks.
   auto va = a.va.Allocate(pages);
   if (!va.has_value()) {
@@ -240,7 +233,6 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
   }
   machine_->trace().Emit(TraceCategory::kFbuf, "alloc-carve", fb->id, fb->base);
   a.last_alloc = machine_->clock().Now();
-  owned_pages_[originator.id()] += pages;
   if (machine_->lifecycle() != nullptr) {
     machine_->lifecycle()->OnAlloc(fb->id, originator.id(), bytes,
                                    /*cache_hit=*/false);
@@ -248,75 +240,6 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
   *out = fb.get();
   fbufs_.push_back(std::move(fb));
   return Status::kOk;
-}
-
-void FbufSystem::SetDomainQuota(DomainId d, std::uint64_t pages) {
-  if (pages == 0) {
-    domain_quotas_.erase(d);
-  } else {
-    domain_quotas_[d] = pages;
-  }
-}
-
-std::uint64_t FbufSystem::DomainQuotaFor(DomainId d) const {
-  const auto it = domain_quotas_.find(d);
-  return it != domain_quotas_.end() ? it->second : 0;
-}
-
-std::uint64_t FbufSystem::DomainPagesInUse(DomainId d) const {
-  const auto it = owned_pages_.find(d);
-  return it != owned_pages_.end() ? it->second : 0;
-}
-
-Status FbufSystem::ChargeQuota(Domain& d, std::uint64_t pages) {
-  const std::uint64_t quota = DomainQuotaFor(d.id());
-  if (quota == 0) {
-    return Status::kOk;
-  }
-  std::uint64_t in_use = DomainPagesInUse(d.id());
-  if (in_use + pages <= quota) {
-    return Status::kOk;
-  }
-  // The domain's own cached-but-idle fbufs count against it; give those back
-  // before refusing the allocation.
-  ShrinkDomainFreeLists(d.id(), in_use + pages - quota);
-  in_use = DomainPagesInUse(d.id());
-  return in_use + pages <= quota ? Status::kOk : Status::kQuotaExceeded;
-}
-
-std::uint64_t FbufSystem::ShrinkDomainFreeLists(DomainId d, std::uint64_t pages_needed) {
-  std::uint64_t released = 0;
-  for (auto& [key, a] : allocators_) {
-    if (a.domain != d) {
-      continue;
-    }
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
-        // Coldest first: the front of each list is the least recently freed.
-        while (!list.empty() && released < pages_needed) {
-          const FbufId id = list.front();
-          list.erase(list.begin());
-          Fbuf* fb = fbufs_[id].get();
-          if (fb->dead || !fb->free_listed) {
-            continue;
-          }
-          fb->free_listed = false;
-          released += fb->pages;
-          DestroyFbuf(fb);
-        }
-        if (released >= pages_needed) {
-          break;
-        }
-      }
-      if (released >= pages_needed) {
-        break;
-      }
-    }
-    if (released >= pages_needed) {
-      break;
-    }
-  }
-  return released;
 }
 
 std::uint64_t FbufSystem::ShrinkIdlePaths(SimTime idle_ns) {
@@ -689,10 +612,6 @@ void FbufSystem::DestroyFbuf(Fbuf* fb) {
   fb->dead = true;
   fb->free_listed = false;
   DropSwap(fb->id);
-  auto owned = owned_pages_.find(fb->originator);
-  if (owned != owned_pages_.end()) {
-    owned->second -= fb->pages <= owned->second ? fb->pages : owned->second;
-  }
   Allocator& a = GetAllocator(fb->originator, fb->path, fb->cached);
   if (!a.defunct) {
     a.va.Free(fb->base, fb->pages);

@@ -117,18 +117,6 @@ class FbufSystem {
   // handled in the meantime (domain termination drains rings).
   void ApplyRingNotice(DomainId holder, DomainId owner, FbufId id);
 
-  // --- Quotas ----------------------------------------------------------------
-  // Caps the region pages |d| may own as originator (live + free-listed
-  // fbufs); 0 removes the cap, and no domain has one until it is set.
-  // Quotas cap growth: a carve past the quota first shrinks the domain's own
-  // free lists, then fails with kQuotaExceeded, but reuse of the domain's
-  // own free-listed fbufs is always allowed (usage does not grow).
-  void SetDomainQuota(DomainId d, std::uint64_t pages);
-  std::uint64_t DomainQuotaFor(DomainId d) const;
-  // Pages currently charged against |d|'s quota (incrementally maintained;
-  // equals PagesOwnedBy for a consistent system).
-  std::uint64_t DomainPagesInUse(DomainId d) const;
-
   // --- Allocation ------------------------------------------------------------
   // Allocates an fbuf of |bytes| in |originator|. With a live |path| whose
   // originator is |originator|, the allocation is served by the cached
@@ -261,8 +249,8 @@ class FbufSystem {
     // Per-CPU free-list caches (slab/percpu idiom), populated only on
     // multicore machines: Free pushes onto the freeing lane's cache and
     // Allocate tries the allocating lane's cache before the shared lists,
-    // so flows pinned to different CPUs stop contending on one LIFO. Quota
-    // and audit accounting treat these exactly like the shared lists.
+    // so flows pinned to different CPUs stop contending on one LIFO. Audit
+    // accounting treats these exactly like the shared lists.
     // Always empty on a single-CPU machine.
     std::vector<std::map<std::uint64_t, std::vector<FbufId>>> cpu_free_lists;
     std::vector<std::pair<VirtAddr, std::uint64_t>> chunk_ranges;
@@ -285,12 +273,6 @@ class FbufSystem {
   Status GrowAllocator(Allocator& a, std::uint64_t pages);
   Status AllocateInternal(Domain& originator, PathId path, std::uint64_t bytes,
                           bool want_volatile, Fbuf** out, bool clear_pages);
-  // Quota growth check for |d| carving |pages| new pages; shrinks the
-  // domain's own free lists before giving up.
-  Status ChargeQuota(Domain& d, std::uint64_t pages);
-  // Destroys free-listed fbufs owned by |d| until |pages_needed| pages were
-  // released (or none remain). Returns pages released.
-  std::uint64_t ShrinkDomainFreeLists(DomainId d, std::uint64_t pages_needed);
   // Re-materializes any reclaimed pages of a free-listed fbuf being reused.
   Status EnsureMaterialized(Fbuf* fb);
   Status SecureInternal(Fbuf* fb);
@@ -316,8 +298,6 @@ class FbufSystem {
   EventLoop* loop_ = nullptr;
   PressureHooks* pressure_ = nullptr;
   RingNoticeTransport* notice_transport_ = nullptr;
-  std::map<DomainId, std::uint64_t> domain_quotas_;
-  std::map<DomainId, std::uint64_t> owned_pages_;  // quota charge per domain
   // (holder, owner) pairs with a flush event already in flight.
   std::set<std::pair<DomainId, DomainId>> flush_scheduled_;
   AddressSpace region_va_{AddressSpace::Empty{}};

@@ -147,62 +147,6 @@ Status Message::Touch(Domain& d, Access access) const {
   return status;
 }
 
-Status Message::Checksum(Domain& d, std::uint16_t* out) const {
-  std::uint32_t sum = 0;
-  Status status = Status::kOk;
-  std::uint8_t carry_byte = 0;
-  bool have_carry = false;
-  ForEachExtent([&](const Extent& e) {
-    if (!Ok(status)) {
-      return;
-    }
-    std::uint8_t buf[1024];
-    std::uint64_t done = 0;
-    while (done < e.len) {
-      const std::uint64_t n = std::min<std::uint64_t>(sizeof(buf), e.len - done);
-      if (e.fb == nullptr) {
-        // zeros contribute nothing, but parity of the byte count matters
-        if ((n % 2 != 0)) {
-          have_carry = !have_carry;
-        }
-        done += n;
-        continue;
-      }
-      const Status st = d.ReadBytes(e.addr + done, buf, n);
-      if (!Ok(st)) {
-        status = st;
-        return;
-      }
-      for (std::uint64_t i = 0; i < n; ++i) {
-        if (have_carry) {
-          sum += (static_cast<std::uint32_t>(carry_byte) << 8) | buf[i];
-          have_carry = false;
-        } else {
-          carry_byte = buf[i];
-          have_carry = true;
-        }
-      }
-      done += n;
-    }
-  });
-  if (!Ok(status)) {
-    return status;
-  }
-  if (have_carry) {
-    sum += static_cast<std::uint32_t>(carry_byte) << 8;
-  }
-  {
-    LayerScope layer(d.machine().attribution(), CostDomain::kMsg);
-    ActorScope actor(d.machine().attribution(), d.id());
-    d.machine().clock().Advance(d.machine().costs().ChecksumCost(length()));
-  }
-  while (sum >> 16) {
-    sum = (sum & 0xffff) + (sum >> 16);
-  }
-  *out = static_cast<std::uint16_t>(~sum);
-  return Status::kOk;
-}
-
 std::size_t Message::NodeCount() const {
   if (!root_) {
     return 0;

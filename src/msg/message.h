@@ -73,9 +73,6 @@ class Message {
   Status CopyOut(Domain& d, std::uint64_t off, void* dst, std::uint64_t len) const;
   // Touch one word per page of every extent (the paper's consumer pattern).
   Status Touch(Domain& d, Access access) const;
-  // Full-content checksum-style read returning a 16-bit one's complement sum
-  // (used by protocols; charges the per-byte checksum cost).
-  Status Checksum(Domain& d, std::uint16_t* out) const;
 
   // Number of DAG nodes (for integrated storage sizing and tests).
   std::size_t NodeCount() const;

@@ -76,16 +76,6 @@ SimTime Attribution::ByCpu(std::uint32_t c) const {
   return sum;
 }
 
-SimTime Attribution::Snapshot::ByLayer(CostDomain d) const {
-  SimTime sum = 0;
-  for (const auto& [key, ns] : cells) {
-    if (key.layer == d) {
-      sum += ns;
-    }
-  }
-  return sum;
-}
-
 Attribution::Snapshot Attribution::Snapshot::Since(const Snapshot& base) const {
   Snapshot delta;
   delta.total = total - base.total;

@@ -177,7 +177,6 @@ class Attribution {
     std::map<Key, SimTime> cells;
     SimTime total = 0;
 
-    SimTime ByLayer(CostDomain d) const;
     // Cell-wise difference against an earlier snapshot of the same
     // accumulator (assumes monotonic growth).
     Snapshot Since(const Snapshot& base) const;

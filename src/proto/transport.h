@@ -99,8 +99,6 @@ class CongestionPolicy {
   virtual void OnTimeout(std::uint32_t next_seq) { (void)next_seq; }
   // The receiver granted an absolute in-flight budget (credit transports).
   virtual void OnCreditGrant(std::uint32_t credits) { (void)credits; }
-  // Current window, in PDUs (informational: metrics and benches).
-  virtual std::uint32_t window() const = 0;
 };
 
 // SWP's window: at most |window| PDUs in flight, forever.
@@ -112,7 +110,6 @@ class FixedWindowPolicy : public CongestionPolicy {
     return in_flight < window_;
   }
   Status RefusalStatus() const override { return Status::kExhausted; }
-  std::uint32_t window() const override { return window_; }
 
  private:
   std::uint32_t window_;
@@ -137,7 +134,6 @@ class CreditPolicy : public CongestionPolicy {
       min_grant_ = credits;
     }
   }
-  std::uint32_t window() const override { return credits_; }
 
   std::uint64_t grants() const { return grants_; }
   // Smallest grant ever received (shows the pressure squeeze).
@@ -206,7 +202,6 @@ class AimdPolicy : public CongestionPolicy {
     timeout_backoffs_++;
   }
 
-  std::uint32_t window() const override { return cwnd_; }
   std::uint32_t ssthresh() const { return ssthresh_; }
   std::uint64_t ecn_backoffs() const { return ecn_backoffs_; }
   std::uint64_t timeout_backoffs() const { return timeout_backoffs_; }

@@ -46,14 +46,6 @@ Status UdpProtocol::Send(const Message& m, std::uint16_t src_port, std::uint16_t
     stack_->fsys()->Free(hdr_fb, *domain());
     return st;
   }
-  if (checksum_body_) {
-    std::uint16_t body_sum = 0;
-    st = m.Checksum(*domain(), &body_sum);
-    if (!Ok(st)) {
-      stack_->fsys()->Free(hdr_fb, *domain());
-      return st;
-    }
-  }
 
   const Message framed = Message::Concat(Message::Whole(hdr_fb), m);
   st = SendDown(framed);

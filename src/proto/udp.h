@@ -1,9 +1,9 @@
 // UDP, over the message abstraction: real header build/parse and port
 // demultiplexing. Per the paper's §4, UDP is "slightly modified to support
 // messages larger than 64 KBytes": the length field is widened to 32 bits
-// (the header grows from 8 to 12 bytes). The checksum covers the header;
-// covering the body is configurable (off by default, as was common practice
-// and as the paper's netserver discussion assumes).
+// (the header grows from 8 to 12 bytes). The checksum covers the header
+// only, as was common practice and as the paper's netserver discussion
+// assumes, so UDP never reads a message's body.
 #ifndef SRC_PROTO_UDP_H_
 #define SRC_PROTO_UDP_H_
 
@@ -29,9 +29,8 @@ class UdpProtocol : public Protocol {
 
   // |hdr_path| is the data path used to allocate header fbufs (kNoPath for
   // uncached headers).
-  UdpProtocol(Domain* domain, ProtocolStack* stack, PathId hdr_path,
-              bool checksum_body = false)
-      : Protocol("udp", domain, stack), hdr_path_(hdr_path), checksum_body_(checksum_body) {}
+  UdpProtocol(Domain* domain, ProtocolStack* stack, PathId hdr_path)
+      : Protocol("udp", domain, stack), hdr_path_(hdr_path) {}
 
   // Routes messages arriving for |port| up into |client|.
   void Bind(std::uint16_t port, Protocol* client) { bindings_[port] = client; }
@@ -47,14 +46,13 @@ class UdpProtocol : public Protocol {
 
   Status Send(const Message& m, std::uint16_t src_port, std::uint16_t dst_port);
 
-  bool touches_body() const override { return checksum_body_; }
+  bool touches_body() const override { return false; }
 
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t dropped() const { return dropped_; }
 
  private:
   PathId hdr_path_;
-  bool checksum_body_;
   std::uint16_t default_src_ = 1;
   std::uint16_t default_dst_ = 2;
   std::map<std::uint16_t, Protocol*> bindings_;

@@ -53,9 +53,6 @@ class RingHub : public RingNoticeTransport {
   // Rings every idle non-empty doorbell (bench epilogue: cut timer tails).
   void FlushAll();
 
-  const RingConfig& default_config() const { return cfg_; }
-  void set_default_config(const RingConfig& c) { cfg_ = c; }
-
   using Key = std::pair<DomainId, DomainId>;
   const std::map<Key, std::unique_ptr<TransferRing>>& rings() const {
     return rings_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/fbuf/fbuf_system.h"
-#include "src/ipc/dispatch.h"
 #include "src/ipc/rpc.h"
 #include "src/obs/attribution.h"
 #include "src/obs/metrics.h"
@@ -93,8 +92,8 @@ Status TransferRing::Submit(Entry e) {
       ArmFlushTimer();
     }
   }
-  // In-flight or armed consumers coalesce: the pending doorbell or the
-  // running drain will pick this entry up with no further crossing.
+  // An armed consumer coalesces: its scheduled or running drain picks this
+  // entry up with no further crossing.
   return Status::kOk;
 }
 
@@ -121,7 +120,6 @@ void TransferRing::ArmFlushTimer() {
 }
 
 void TransferRing::RingDoorbell(bool from_flush) {
-  state_ = State::kDoorbellInFlight;
   stats_.doorbells++;
   if (from_flush) {
     stats_.flush_doorbells++;
@@ -143,20 +141,12 @@ void TransferRing::RingDoorbell(bool from_flush) {
   Domain* p = machine_->domain(producer_);
   Domain* c = machine_->domain(consumer_);
   if (p == nullptr || c == nullptr || !p->alive() || !c->alive()) {
-    state_ = State::kIdle;
     return;
   }
-  // The one crossing a batch pays. Lands on the consumer's dispatch queue
-  // under the multicore model; degenerates to a synchronous charge otherwise.
-  rpc_->ChargeCrossingAsync(*p, *c, [this](SimTime at) { OnDoorbell(at); });
-}
-
-void TransferRing::OnDoorbell(SimTime at) {
-  if (dead_) {
-    return;
-  }
+  // The one crossing a batch pays.
+  rpc_->ChargeCrossing(*p, *c);
   state_ = State::kArmed;
-  ScheduleDrain(at);
+  ScheduleDrain(machine_->clock().Now());
 }
 
 void TransferRing::ScheduleDrain(SimTime ready) {
@@ -164,14 +154,8 @@ void TransferRing::ScheduleDrain(SimTime ready) {
     return;
   }
   drain_scheduled_ = true;
-  Dispatcher* d = rpc_->dispatcher();
-  if (d != nullptr && machine_->num_cpus() > 1) {
-    d->RunInDomain(consumer_, ready, "ring-drain/" + name_,
-                   [this] { DrainPass(); });
-  } else {
-    ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
-               "ring-drain/" + name_, [this] { DrainPass(); });
-  }
+  ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
+             "ring-drain/" + name_, [this] { DrainPass(); });
 }
 
 void TransferRing::DrainPass() {
@@ -231,16 +215,9 @@ void TransferRing::DrainPass() {
 
 void TransferRing::ScheduleCompletions(std::vector<Completion> batch,
                                        SimTime ready) {
-  auto run = [this, batch = std::move(batch)]() mutable {
-    HarvestCompletions(batch);
-  };
-  Dispatcher* d = rpc_->dispatcher();
-  if (d != nullptr && machine_->num_cpus() > 1) {
-    d->RunInDomain(producer_, ready, "ring-complete/" + name_, std::move(run));
-  } else {
-    ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
-               "ring-complete/" + name_, std::move(run));
-  }
+  ScheduleOn(*loop_, *machine_, 0, std::max(ready, machine_->clock().Now()),
+             "ring-complete/" + name_,
+             [this, batch = std::move(batch)]() mutable { HarvestCompletions(batch); });
 }
 
 void TransferRing::HarvestCompletions(std::vector<Completion>& batch) {

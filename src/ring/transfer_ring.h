@@ -9,14 +9,12 @@
 // notice. Because both queues live in memory mapped into both domains,
 // writing a descriptor costs a few cache lines (ring_entry_ns), not an IPC.
 //
-// The doorbell is where the crossing cost lives. The consumer is in one of
-// three states: idle (not watching the ring), doorbell-in-flight (a wakeup
-// crossing is on its way) or armed (actively draining). Only an idle
-// consumer needs a doorbell — one Rpc crossing, charged through the normal
-// ChargeCrossingAsync path so it lands on the consumer's dispatch queue and
-// CPU lane under the multicore model. Submissions that find the consumer
-// already in-flight or armed coalesce for free, so a burst of K transfers
-// pays one crossing: crossings/transfer -> 1/K, which is the whole point.
+// The doorbell is where the crossing cost lives. The consumer is idle (not
+// watching the ring) or armed (a drain is scheduled or running). Only an
+// idle consumer needs a doorbell: one synchronous Rpc::ChargeCrossing,
+// charged where the producer runs, which arms the consumer. Submissions that
+// find the consumer armed coalesce for free, so a burst of K transfers pays
+// one crossing: crossings/transfer -> 1/K, which is the whole point.
 // A flush timer bounds the latency of a sub-batch tail: if fewer than
 // doorbell_batch entries accumulate, the doorbell rings after
 // flush_delay_ns anyway.
@@ -117,7 +115,7 @@ class TransferRing {
   }
 
  private:
-  enum class State : std::uint8_t { kIdle, kDoorbellInFlight, kArmed };
+  enum class State : std::uint8_t { kIdle, kArmed };
 
   struct Entry {
     Op op = Op::kHandoff;
@@ -138,7 +136,6 @@ class TransferRing {
   Status Submit(Entry e);
   void RingDoorbell(bool from_flush);
   void ArmFlushTimer();
-  void OnDoorbell(SimTime at);
   void ScheduleDrain(SimTime ready);
   void DrainPass();
   void ScheduleCompletions(std::vector<Completion> batch, SimTime ready);

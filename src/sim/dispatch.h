@@ -10,9 +10,8 @@
 // with a ready time and run when their lane frees, in enqueue order.
 // Queueing delay (start - ready) is measured per item, so scheduler-induced
 // latency under load is an output of the schedule, not a modeled constant.
-// Several queues may bind to one lane (per-domain queues sharing a CPU);
-// they serialize through the lane's clock, exactly like runnable threads
-// sharing a run queue.
+// Several queues may bind to one lane; they serialize through the lane's
+// clock, exactly like runnable threads sharing a run queue.
 //
 // Determinism: items run in (ready-time, enqueue order) via the EventLoop's
 // (time, seq) keys; no wall clock, no randomness. Same schedule, same run.

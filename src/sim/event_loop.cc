@@ -60,18 +60,6 @@ std::uint64_t EventLoop::Run() {
   return n;
 }
 
-std::uint64_t EventLoop::RunUntil(SimTime t) {
-  std::uint64_t n = 0;
-  for (;;) {
-    PurgeCancelledTop();
-    if (queue_.empty() || queue_.front().time > t || !RunOne()) {
-      break;
-    }
-    n++;
-  }
-  return n;
-}
-
 void EventLoop::HashDispatch(const Event& e) {
   constexpr std::uint64_t kPrime = 1099511628211ull;
   auto mix = [this](const void* data, std::size_t len) {

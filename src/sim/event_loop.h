@@ -74,10 +74,6 @@ class EventLoop {
   // Runs to quiescence; returns the number of events dispatched.
   std::uint64_t Run();
 
-  // Dispatches every event with key <= |t| (bounded run for open-ended
-  // schedules such as retransmission timers that re-arm themselves).
-  std::uint64_t RunUntil(SimTime t);
-
   bool empty() const { return pending() == 0; }
   // Cancelled events still sitting in the queue do not count as pending.
   std::size_t pending() const { return queue_.size() - cancelled_.size(); }
@@ -175,37 +171,6 @@ class Resource {
   SimTime window_start() const { return window_start_; }
   std::uint64_t acquisitions() const { return acquisitions_; }
   const std::string& name() const { return name_; }
-
-  // Fraction of [window_start, until] the resource was occupied. Acquire
-  // records a whole occupancy up front, so on a saturated resource busy time
-  // can outrun the window; a fraction above 1.0 is an accounting artifact,
-  // not a physical possibility — clamp it.
-  double Utilization(SimTime until) const {
-    if (until <= window_start_) {
-      return 0.0;
-    }
-    const double u =
-        static_cast<double>(busy_ns_) / static_cast<double>(until - window_start_);
-    return u > 1.0 ? 1.0 : u;
-  }
-
-  // Like Utilization, but busy_until()-aware: work still in flight when the
-  // window closes at |until| is trimmed to the window, so a saturated
-  // resource reports ~1.0 instead of counting occupancy that lies in the
-  // future. (Intervals are non-overlapping and ordered on a serial resource,
-  // so everything past |until| belongs to the in-flight tail.)
-  double UtilizationInWindow(SimTime until) const {
-    if (until <= window_start_) {
-      return 0.0;
-    }
-    SimTime busy = busy_ns_;
-    if (busy_until_ > until) {
-      const SimTime overhang = busy_until_ - until;
-      busy = overhang >= busy ? 0 : busy - overhang;
-    }
-    const double u = static_cast<double>(busy) / static_cast<double>(until - window_start_);
-    return u > 1.0 ? 1.0 : u;
-  }
 
   void Reset() {
     busy_until_ = 0;

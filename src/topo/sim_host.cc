@@ -1,5 +1,6 @@
 #include "src/topo/sim_host.h"
 
+#include <cassert>
 #include <utility>
 
 namespace fbufs {
@@ -165,10 +166,7 @@ SimHost::SimHost(const SimHostConfig& cfg, HostRole host_role,
 }
 
 void SimHost::EnableRings(EventLoop* loop, const RingConfig& cfg) {
-  if (ring_hub != nullptr) {
-    ring_hub->set_default_config(cfg);
-    return;
-  }
+  assert(ring_hub == nullptr && "rings are enabled once per host");
   ring_hub = std::make_unique<RingHub>(&machine, &fsys, &rpc, loop, cfg,
                                        /*auto_create=*/true);
   stack->EnableRings(ring_hub.get());

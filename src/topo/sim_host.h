@@ -161,8 +161,7 @@ class SimHost {
                                 std::size_t index);
 
   // Switches this host's cross-domain deliveries and dealloc notices onto
-  // transfer rings draining through |loop|. Call after any dispatcher is
-  // attached; idempotent per host (subsequent calls only update the config).
+  // transfer rings draining through |loop|. Call at most once per host.
   void EnableRings(EventLoop* loop, const RingConfig& cfg = RingConfig{});
 
   // The adapter feeding a leg that leaves this host.

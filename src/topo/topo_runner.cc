@@ -253,14 +253,14 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
   runs_.assign(flows_.size(), FlowRun{});
   step_pending_.assign(flows_.size(), false);
 
-  // Multicore hosts get an evented dispatcher (receive processing and RPCs
-  // queue on their RSS lane). Single-CPU hosts keep the synchronous path —
-  // no dispatcher, no extra events, byte-identical schedules.
+  // Multicore hosts get an evented dispatcher: receive processing queues on
+  // its RSS lane. Crossings stay synchronous on the lane that runs them.
+  // Single-CPU hosts keep the synchronous path — no dispatcher, no extra
+  // events, byte-identical schedules.
   for (NodeId n = 0; n < topo_->node_count(); ++n) {
     SimHost* h = topo_->is_switch(n) ? nullptr : topo_->host(n);
     if (h != nullptr && h->machine.num_cpus() > 1 && h->dispatcher == nullptr) {
       h->dispatcher = std::make_unique<Dispatcher>(&h->machine, loop_);
-      h->rpc.AttachDispatcher(h->dispatcher.get());
     }
   }
   // Resets every CPU lane of |h| at its own clock (multicore lanes run on
@@ -443,6 +443,8 @@ MultiResult TopologyRunner::RunFlows(const std::vector<FlowTraffic>& traffic) {
                         static_cast<double>(window);
   }
 
+  // Every row divides by the one run window, not by each resource's own
+  // accounting window, so rows of one run compare directly.
   auto report = [&](const Resource& r) {
     ResourceUse use;
     use.name = r.name();

@@ -341,58 +341,7 @@ TEST(Campaigns, LinkFaultsRestoreTheirPriorValues) {
   EXPECT_TRUE(report.audits_passed());
 }
 
-// --- Quota edge cases --------------------------------------------------------
-
-TEST(Quota, QuotaOfExactlyOneFbufAllowsReuseAndShrinksToFit) {
-  AuditWorld w;
-  w.fsys.SetDomainQuota(w.src->id(), 4);
-
-  Fbuf* a = nullptr;
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &a)));
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 4u);
-
-  // A second carve would grow past the quota.
-  Fbuf* b = nullptr;
-  EXPECT_EQ(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &b),
-            Status::kQuotaExceeded);
-
-  // Freeing keeps the pages charged (free-listed fbufs still count), but
-  // reuse of the domain's own free list is always allowed.
-  ASSERT_TRUE(Ok(w.fsys.Free(a, *w.src)));
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 4u);
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &b)));
-  EXPECT_EQ(b, a);  // cache hit, no growth
-
-  // A different size cannot reuse the free list, but the carve shrinks the
-  // domain's own free-listed fbufs to make quota room.
-  ASSERT_TRUE(Ok(w.fsys.Free(b, *w.src)));
-  Fbuf* small = nullptr;
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 2 * kPageSize, true, &small)));
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 2u);
-  EXPECT_EQ(w.fsys.FreeListSize(w.src->id(), w.path), 0u);
-  EXPECT_EQ(w.fsys.Audit().free_list_errors, 0u);
-}
-
-TEST(Quota, ShrinkingTheQuotaBelowUsageBlocksGrowthButNotReuse) {
-  AuditWorld w;
-  w.fsys.SetDomainQuota(w.src->id(), 16);
-  Fbuf* a = nullptr;
-  Fbuf* b = nullptr;
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &a)));
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &b)));
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 8u);
-
-  // Tighten the quota below what is already outstanding: existing fbufs are
-  // unaffected, growth fails, reuse still works.
-  w.fsys.SetDomainQuota(w.src->id(), 4);
-  Fbuf* c = nullptr;
-  EXPECT_EQ(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &c),
-            Status::kQuotaExceeded);
-  ASSERT_TRUE(Ok(w.fsys.Free(b, *w.src)));
-  ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &c)));
-  EXPECT_EQ(c, b);
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 8u);
-}
+// --- A terminated domain owns no pages ----------------------------------------
 
 TEST(Quota, TerminationReleasesTheDomainsEntireQuotaCharge) {
   AuditWorld w;
@@ -401,11 +350,10 @@ TEST(Quota, TerminationReleasesTheDomainsEntireQuotaCharge) {
   ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 4 * kPageSize, true, &live)));
   ASSERT_TRUE(Ok(w.fsys.Allocate(*w.src, w.path, 2 * kPageSize, true, &cached)));
   ASSERT_TRUE(Ok(w.fsys.Free(cached, *w.src)));
-  EXPECT_EQ(w.fsys.DomainPagesInUse(w.src->id()), 6u);
+  EXPECT_EQ(w.fsys.PagesOwnedBy(w.src->id()), 6u);
 
   const DomainId victim = w.src->id();
   w.machine.DestroyDomain(victim);
-  EXPECT_EQ(w.fsys.DomainPagesInUse(victim), 0u);
   EXPECT_EQ(w.fsys.PagesOwnedBy(victim), 0u);
   const FbufSystem::AuditCounts audit = w.fsys.Audit();
   EXPECT_EQ(audit.free_list_errors, 0u);

@@ -193,9 +193,7 @@ TEST_F(FbufTest, DeallocationNoticePiggybacksOnRpc) {
   EXPECT_EQ(world_.fsys.PendingNotices(dst_->id(), src_->id()), 1u);
   EXPECT_FALSE(fb->free_listed);
   // Any RPC between the pair carries the notice.
-  world_.rpc.RegisterService(*src_, 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
-  ASSERT_EQ(world_.rpc.Call(*dst_, 1, args), Status::kOk);
+  ASSERT_EQ(world_.rpc.Invoke(*dst_, *src_, [] { return Status::kOk; }), Status::kOk);
   EXPECT_EQ(world_.fsys.PendingNotices(dst_->id(), src_->id()), 0u);
   EXPECT_TRUE(fb->free_listed);
   EXPECT_EQ(world_.machine.stats().dealloc_notices, 1u);

@@ -1,6 +1,5 @@
 // Tests for the unified buffer cache extension: zero-copy reads, shared
-// blocks, captured writes, eviction, and dynamic memory sharing with the
-// network subsystem.
+// blocks, eviction, and dynamic memory sharing with the network subsystem.
 #include <gtest/gtest.h>
 
 #include "src/cache/file_cache.h"
@@ -120,19 +119,6 @@ TEST_F(FileCacheTest, LruEvictionUnderCapacity) {
 
 TEST_F(FileCacheTest, EvictionReasonsAreAccountedSeparately) {
   FileCache cache(&world_.fsys, SmallConfig());  // capacity 4
-  const PathId path = world_.fsys.paths().Register({app_->id(), kKernelDomainId});
-
-  // Overwrite: replacing a key's block drops the old copy but is neither a
-  // capacity nor a pressure eviction — memory demand didn't force it.
-  for (int round = 0; round < 2; ++round) {
-    Fbuf* fb = nullptr;
-    ASSERT_EQ(world_.fsys.Allocate(*app_, path, 8192, true, &fb), Status::kOk);
-    ASSERT_EQ(app_->TouchRange(fb->base, 8192, Access::kWrite), Status::kOk);
-    ASSERT_EQ(cache.Write(7, 0, *app_, Message::Whole(fb)), Status::kOk);
-    ASSERT_EQ(world_.fsys.Free(fb, *app_), Status::kOk);
-  }
-  EXPECT_EQ(cache.overwrite_evictions(), 1u);
-  EXPECT_EQ(cache.evictions(), 0u);
 
   // Capacity: LRU churn past the block limit.
   for (std::uint64_t b = 0; b < 6; ++b) {
@@ -167,38 +153,6 @@ TEST_F(FileCacheTest, HotBlockSurvivesEviction) {
   const std::uint64_t reads_before = cache.disk_reads();
   touch(0);
   EXPECT_EQ(cache.disk_reads(), reads_before);  // still resident
-}
-
-TEST_F(FileCacheTest, WriteCapturesApplicationBufferByReference) {
-  FileCache cache(&world_.fsys, SmallConfig());
-  // The app builds a block in its own fbuf and writes it.
-  const PathId path = world_.fsys.paths().Register({app_->id(), kKernelDomainId});
-  Fbuf* fb = nullptr;
-  ASSERT_EQ(world_.fsys.Allocate(*app_, path, 8192, true, &fb), Status::kOk);
-  std::vector<std::uint8_t> content(8192, 0x5A);
-  ASSERT_EQ(app_->WriteBytes(fb->base, content.data(), content.size()), Status::kOk);
-  ASSERT_EQ(cache.Write(9, 0, *app_, Message::Whole(fb)), Status::kOk);
-  // Captured by reference: no copy. And frozen: the writer lost write access.
-  EXPECT_EQ(world_.machine.stats().bytes_copied, 0u);
-  EXPECT_EQ(app_->WriteWord(fb->base, 1), Status::kProtection);
-  // A reader sees the written content, not disk content.
-  Message m;
-  ASSERT_EQ(cache.Read(9, 0, *app2_, &m), Status::kOk);
-  std::uint8_t byte = 0;
-  ASSERT_EQ(m.CopyOut(*app2_, 100, &byte, 1), Status::kOk);
-  EXPECT_EQ(byte, 0x5A);
-  EXPECT_EQ(cache.disk_reads(), 0u);
-  ASSERT_EQ(cache.Release(m, *app2_), Status::kOk);
-  ASSERT_EQ(world_.fsys.Free(fb, *app_), Status::kOk);
-}
-
-TEST_F(FileCacheTest, WriteWrongSizeRejected) {
-  FileCache cache(&world_.fsys, SmallConfig());
-  const PathId path = world_.fsys.paths().Register({app_->id(), kKernelDomainId});
-  Fbuf* fb = nullptr;
-  ASSERT_EQ(world_.fsys.Allocate(*app_, path, 100, true, &fb), Status::kOk);
-  EXPECT_EQ(cache.Write(1, 0, *app_, Message::Whole(fb)), Status::kInvalidArgument);
-  ASSERT_EQ(world_.fsys.Free(fb, *app_), Status::kOk);
 }
 
 TEST_F(FileCacheTest, ShrinkReleasesMemoryToTheSharedPool) {
@@ -334,46 +288,28 @@ TEST_F(FileCacheTest, PinBlockedEvictionsCountEachPinnedBlockScanned) {
   }
 }
 
-TEST_F(FileCacheTest, WriteToPinnedBlockIsRefused) {
-  FileCache cache(&world_.fsys, SmallConfig());
-  Message m;
-  ASSERT_EQ(cache.Read(6, 0, *app_, &m), Status::kOk);
-  ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
-  ASSERT_EQ(cache.Pin(6, 0), Status::kOk);
-
-  const PathId path = world_.fsys.paths().Register({app_->id(), kKernelDomainId});
-  Fbuf* fb = nullptr;
-  ASSERT_EQ(world_.fsys.Allocate(*app_, path, 8192, true, &fb), Status::kOk);
-  ASSERT_EQ(app_->TouchRange(fb->base, 8192, Access::kWrite), Status::kOk);
-  // Readers hold the block mid-transfer: replacing it now would yank the
-  // frames out from under them. Busy, not silently replaced.
-  EXPECT_EQ(cache.Write(6, 0, *app_, Message::Whole(fb)), Status::kExhausted);
-  EXPECT_TRUE(cache.Resident(6, 0));
-
-  ASSERT_EQ(cache.Unpin(6, 0), Status::kOk);
-  EXPECT_EQ(cache.Write(6, 0, *app_, Message::Whole(fb)), Status::kOk);
-  ASSERT_EQ(world_.fsys.Free(fb, *app_), Status::kOk);
-}
-
 TEST_F(FileCacheTest, MissPropagatesAllocatorFailure) {
-  FileCache cache(&world_.fsys, SmallConfig());
+  // Room for one block: the cache's allocator may own one two-page chunk,
+  // so a second resident block cannot be carved.
+  FbufConfig fcfg;
+  fcfg.chunk_pages = 2;
+  fcfg.chunk_quota = 1;
+  World world(ZeroCostConfig(), fcfg);
+  Domain* app = world.AddDomain("app");
+  FileCache cache(&world.fsys, SmallConfig());
   Message m;
-  ASSERT_EQ(cache.Read(1, 0, *app_, &m), Status::kOk);
-  ASSERT_EQ(cache.Release(m, *app_), Status::kOk);
+  ASSERT_EQ(cache.Read(1, 0, *app, &m), Status::kOk);
+  ASSERT_EQ(cache.Release(m, *app), Status::kOk);
 
-  // Choke the cache's originator: the kernel may not carve another page.
-  world_.fsys.SetDomainQuota(kKernelDomainId,
-                             world_.fsys.DomainPagesInUse(kKernelDomainId));
   Message m2;
-  const Status st = cache.Read(2, 0, *app_, &m2);
+  const Status st = cache.Read(2, 0, *app, &m2);
   // The failure comes back as a Status — never papered over with a stale
   // or zero-filled block.
   EXPECT_EQ(st, Status::kQuotaExceeded);
   EXPECT_FALSE(cache.Resident(2, 0));
   // The cache itself is intact: the resident block still serves hits.
-  world_.fsys.SetDomainQuota(kKernelDomainId, 0);  // restore
-  ASSERT_EQ(cache.Read(1, 0, *app_, &m2), Status::kOk);
-  ASSERT_EQ(cache.Release(m2, *app_), Status::kOk);
+  ASSERT_EQ(cache.Read(1, 0, *app, &m2), Status::kOk);
+  ASSERT_EQ(cache.Release(m2, *app), Status::kOk);
 }
 
 TEST_F(FileCacheTest, DeadReaderGetsNothingAndTheBlockSurvives) {

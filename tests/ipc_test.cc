@@ -1,5 +1,5 @@
-// Tests for the IPC layer: RPC latency accounting, service dispatch, and
-// piggyback hooks.
+// Tests for the IPC layer: crossing latency accounting, same-domain calls,
+// error propagation and piggyback hooks.
 #include <gtest/gtest.h>
 
 #include "src/ipc/rpc.h"
@@ -11,14 +11,14 @@ namespace {
 using testing_util::World;
 using testing_util::ZeroCostConfig;
 
+Status Noop() { return Status::kOk; }
+
 TEST(Rpc, KernelUserCrossingCharges) {
   Machine m{MachineConfig{}};
   Rpc rpc(&m);
   Domain* u = m.CreateDomain("u");
-  rpc.RegisterService(m.kernel(), 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
   const SimTime before = m.clock().Now();
-  ASSERT_EQ(rpc.Call(*u, 1, args), Status::kOk);
+  ASSERT_EQ(rpc.Invoke(*u, m.kernel(), Noop), Status::kOk);
   EXPECT_EQ(m.clock().Now() - before, m.costs().ipc_kernel_user_ns);
   EXPECT_EQ(m.stats().ipc_calls, 1u);
 }
@@ -28,59 +28,32 @@ TEST(Rpc, UserUserCrossingChargesMore) {
   Rpc rpc(&m);
   Domain* a = m.CreateDomain("a");
   Domain* b = m.CreateDomain("b");
-  rpc.RegisterService(*b, 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
   const SimTime before = m.clock().Now();
-  ASSERT_EQ(rpc.Call(*a, 1, args), Status::kOk);
+  ASSERT_EQ(rpc.Invoke(*a, *b, Noop), Status::kOk);
   EXPECT_EQ(m.clock().Now() - before, m.costs().ipc_user_user_ns);
   EXPECT_GT(m.costs().ipc_user_user_ns, m.costs().ipc_kernel_user_ns);
 }
 
 TEST(Rpc, SameDomainCallIsFree) {
+  // A call within one domain is a procedure call: no latency, no crossing
+  // counted, and no piggyback hook runs in either direction.
   Machine m{MachineConfig{}};
   Rpc rpc(&m);
   Domain* a = m.CreateDomain("a");
-  rpc.RegisterService(*a, 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
+  int hook_runs = 0;
+  rpc.AddPiggybackHook([&hook_runs](Domain&, Domain&) { hook_runs++; });
+  bool ran = false;
   const SimTime before = m.clock().Now();
-  ASSERT_EQ(rpc.Call(*a, 1, args), Status::kOk);
+  ASSERT_EQ(rpc.Invoke(*a, *a,
+                       [&] {
+                         ran = true;
+                         return Status::kOk;
+                       }),
+            Status::kOk);
+  EXPECT_TRUE(ran);
   EXPECT_EQ(m.clock().Now(), before);
   EXPECT_EQ(m.stats().ipc_calls, 0u);
-}
-
-TEST(Rpc, ArgsAreInOut) {
-  Machine m{MachineConfig{}};
-  Rpc rpc(&m);
-  Domain* a = m.CreateDomain("a");
-  Domain* b = m.CreateDomain("b");
-  (void)a;
-  rpc.RegisterService(*b, 9, [](RpcArgs& args) {
-    args.word[1] = args.word[0] * 2;
-    return Status::kOk;
-  });
-  RpcArgs args;
-  args.word[0] = 21;
-  ASSERT_EQ(rpc.Call(*a, 9, args), Status::kOk);
-  EXPECT_EQ(args.word[1], 42u);
-}
-
-TEST(Rpc, UnknownServiceFails) {
-  Machine m{MachineConfig{}};
-  Rpc rpc(&m);
-  Domain* a = m.CreateDomain("a");
-  RpcArgs args;
-  EXPECT_EQ(rpc.Call(*a, 404, args), Status::kNotFound);
-}
-
-TEST(Rpc, DeadServerFails) {
-  Machine m{MachineConfig{}};
-  Rpc rpc(&m);
-  Domain* a = m.CreateDomain("a");
-  Domain* b = m.CreateDomain("b");
-  rpc.RegisterService(*b, 1, [](RpcArgs&) { return Status::kOk; });
-  m.DestroyDomain(b->id());
-  RpcArgs args;
-  EXPECT_EQ(rpc.Call(*a, 1, args), Status::kNotFound);
+  EXPECT_EQ(hook_runs, 0);
 }
 
 TEST(Rpc, PiggybackHooksRunBothDirections) {
@@ -91,9 +64,13 @@ TEST(Rpc, PiggybackHooksRunBothDirections) {
   std::vector<std::pair<DomainId, DomainId>> seen;
   rpc.AddPiggybackHook(
       [&seen](Domain& from, Domain& to) { seen.emplace_back(from.id(), to.id()); });
-  rpc.RegisterService(*b, 1, [](RpcArgs&) { return Status::kOk; });
-  RpcArgs args;
-  ASSERT_EQ(rpc.Call(*a, 1, args), Status::kOk);
+  ASSERT_EQ(rpc.Invoke(*a, *b,
+                       [&] {
+                         // The request-direction hook has run; the reply's not yet.
+                         EXPECT_EQ(seen.size(), 1u);
+                         return Status::kOk;
+                       }),
+            Status::kOk);
   ASSERT_EQ(seen.size(), 2u);
   EXPECT_EQ(seen[0], std::make_pair(a->id(), b->id()));  // request
   EXPECT_EQ(seen[1], std::make_pair(b->id(), a->id()));  // reply
@@ -116,14 +93,14 @@ TEST(Rpc, InvokeRunsFunctionWithCrossing) {
   EXPECT_GT(m.clock().Now(), before);
 }
 
-TEST(Rpc, HandlerErrorPropagates) {
+TEST(Rpc, InvokeErrorPropagates) {
   Machine m{MachineConfig{}};
   Rpc rpc(&m);
   Domain* a = m.CreateDomain("a");
   Domain* b = m.CreateDomain("b");
-  rpc.RegisterService(*b, 1, [](RpcArgs&) { return Status::kExhausted; });
-  RpcArgs args;
-  EXPECT_EQ(rpc.Call(*a, 1, args), Status::kExhausted);
+  EXPECT_EQ(rpc.Invoke(*a, *b, [] { return Status::kExhausted; }), Status::kExhausted);
+  // A failing callee still paid for the crossing.
+  EXPECT_EQ(m.stats().ipc_calls, 1u);
 }
 
 }  // namespace

@@ -77,24 +77,6 @@ TEST_F(MsgEdgeTest, NestedSlicesCompose) {
   }
 }
 
-TEST_F(MsgEdgeTest, ChecksumOfEmptyMessage) {
-  Message m;
-  std::uint16_t sum = 0;
-  ASSERT_EQ(m.Checksum(*d_, &sum), Status::kOk);
-  EXPECT_EQ(sum, 0xffff);  // ~0
-}
-
-TEST_F(MsgEdgeTest, ChecksumOddLength) {
-  Fbuf* fb = Alloc(3);
-  const std::uint8_t bytes[3] = {0x12, 0x34, 0x56};
-  ASSERT_EQ(d_->WriteBytes(fb->base, bytes, 3), Status::kOk);
-  Message m = Message::Leaf(fb, 0, 3);
-  std::uint16_t sum = 0;
-  ASSERT_EQ(m.Checksum(*d_, &sum), Status::kOk);
-  // 0x1234 + 0x5600 = 0x6834 -> ~ = 0x97cb
-  EXPECT_EQ(sum, 0x97cb);
-}
-
 class ProtoEdgeTest : public ::testing::Test {
  protected:
   ProtoEdgeTest() : world_(ZeroCostConfig()) {

@@ -1,5 +1,5 @@
 // Tests for the aggregate message DAG: construction, join/split/clip,
-// data access, checksums.
+// data access.
 #include <gtest/gtest.h>
 
 #include "src/msg/message.h"
@@ -154,37 +154,6 @@ TEST_F(MsgTest, CopyOutPartialRange) {
   }
   // Reading past the end truncates.
   EXPECT_EQ(m.CopyOut(*src_, 250, buf, 16), Status::kTruncated);
-}
-
-TEST_F(MsgTest, ChecksumMatchesReference) {
-  Fbuf* a = Filled(64, 3);
-  Message m = Message::Whole(a);
-  std::uint16_t sum1 = 0;
-  ASSERT_EQ(m.Checksum(*src_, &sum1), Status::kOk);
-  // Reference: straight one's-complement sum over the same bytes.
-  std::vector<std::uint8_t> data = Read(m, *src_);
-  std::uint32_t ref = 0;
-  for (std::size_t i = 0; i < data.size(); i += 2) {
-    ref += (static_cast<std::uint32_t>(data[i]) << 8) |
-           (i + 1 < data.size() ? data[i + 1] : 0);
-  }
-  while (ref >> 16) {
-    ref = (ref & 0xffff) + (ref >> 16);
-  }
-  EXPECT_EQ(sum1, static_cast<std::uint16_t>(~ref));
-}
-
-TEST_F(MsgTest, ChecksumIsStableAcrossFragmentation) {
-  Fbuf* a = Filled(333, 9);
-  Message m = Message::Whole(a);
-  Message re;
-  for (std::uint64_t off = 0; off < m.length(); off += 100) {
-    re = Message::Concat(re, m.Slice(off, 100));
-  }
-  std::uint16_t s1 = 0, s2 = 0;
-  ASSERT_EQ(m.Checksum(*src_, &s1), Status::kOk);
-  ASSERT_EQ(re.Checksum(*src_, &s2), Status::kOk);
-  EXPECT_EQ(s1, s2);
 }
 
 TEST_F(MsgTest, TouchReadByReceiverAfterTransfer) {

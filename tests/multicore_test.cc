@@ -157,55 +157,36 @@ TEST(RssSteer, DeterministicAndInRange) {
   EXPECT_TRUE(spread);
 }
 
-// --- ipc layer: evented crossings --------------------------------------------
+// --- ipc layer: the dispatcher -----------------------------------------------
 
-TEST(Dispatcher, ChargeCrossingAsyncRunsOnCalleeLane) {
-  Machine m(Multicore(2));
-  EventLoop loop;
-  Rpc rpc(&m);
-  Dispatcher disp(&m, &loop);
-  rpc.AttachDispatcher(&disp);
-  // Domain 1 lands on lane 1, away from the active lane 0 where the
-  // synchronous path would charge.
-  Domain* callee = m.CreateDomain("callee");
-  Domain* caller = m.CreateDomain("caller");
-  const std::uint32_t callee_cpu = disp.CpuForDomain(callee->id());
-  ASSERT_NE(callee_cpu, m.active_cpu());
-  bool finished = false;
-  SimTime finish = 0;
-  rpc.ChargeCrossingAsync(*caller, *callee, [&](SimTime t) {
-    finished = true;
-    finish = t;
-  });
-  // Evented path: nothing ran yet — the crossing is queued on the callee's lane.
-  EXPECT_FALSE(finished);
-  loop.Run();
-  EXPECT_TRUE(finished);
-  // The crossing and dispatch costs all landed on the callee's lane; the
-  // finish time is that lane's clock.
-  EXPECT_GT(m.cpu_clock(callee_cpu).Now(), 0u);
-  EXPECT_EQ(m.cpu_clock(m.active_cpu()).Now(), 0u);
-  EXPECT_EQ(finish, m.cpu_clock(callee_cpu).Now());
-}
-
-TEST(Dispatcher, DomainQueueSerializesSharedLane) {
+TEST(Dispatcher, CpuQueueSerializesItsLane) {
   Machine m(Multicore(2));
   EventLoop loop;
   Dispatcher disp(&m, &loop);
-  Domain* d = m.CreateDomain("svc");
-  const std::uint32_t cpu = disp.CpuForDomain(d->id());
+  // Lane 1, away from the active lane 0: every charge must land there.
+  const std::uint32_t cpu = 1;
+  ASSERT_NE(cpu, m.active_cpu());
   std::vector<int> order;
+  SimTime finish = 0;
   for (int i = 0; i < 3; ++i) {
-    disp.RunInDomain(d->id(), 0, "w" + std::to_string(i), [&, i] {
-      order.push_back(i);
-      m.clock().Advance(100);
-    });
+    disp.RunOnCpu(
+        cpu, 0, "w" + std::to_string(i),
+        [&, i] {
+          order.push_back(i);
+          m.clock().Advance(100);
+        },
+        [&](SimTime t) { finish = t; });
   }
   loop.Run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   // Three items of 100 ns each, plus the modeled dispatch cost per item.
-  EXPECT_EQ(m.cpu_clock(cpu).Now(), 3 * (100 + m.costs().dispatch_ns));
-  EXPECT_EQ(disp.TotalWaitNs(), disp.QueueForDomain(d->id()).total_wait_ns());
+  const SimTime item = 100 + m.costs().dispatch_ns;
+  EXPECT_EQ(m.cpu_clock(cpu).Now(), 3 * item);
+  EXPECT_EQ(m.cpu_clock(m.active_cpu()).Now(), 0u);
+  EXPECT_EQ(finish, m.cpu_clock(cpu).Now());
+  // All three were ready at 0: the second waited one item, the third two.
+  EXPECT_EQ(disp.QueueForCpu(cpu).total_wait_ns(), 3 * item);
+  EXPECT_EQ(disp.TotalWaitNs(), disp.QueueForCpu(cpu).total_wait_ns());
 }
 
 // --- fbuf layer: per-CPU free lists ------------------------------------------

@@ -1,5 +1,5 @@
 // Transfer-ring tests: SQ wraparound, full-SQ backpressure, doorbell
-// coalescing across the idle -> armed race, terminated-domain teardown, and
+// coalescing while the consumer is armed, terminated-domain teardown, and
 // the §3.3 equivalence between piggyback/threshold dealloc notices and
 // ring-batched ones (same delivery order, zero leaked frames).
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "src/fault/auditor.h"
 #include "src/fbuf/fbuf_system.h"
-#include "src/ipc/dispatch.h"
 #include "src/ipc/rpc.h"
 #include "src/pressure/backoff.h"
 #include "src/ring/ring_hub.h"
@@ -20,17 +19,10 @@ namespace fbufs {
 namespace {
 
 struct RingWorld {
-  explicit RingWorld(std::uint32_t cpus = 1)
-      : machine(MakeConfig(cpus)), fsys(&machine), rpc(&machine) {
+  RingWorld() : machine(MachineConfig{}), fsys(&machine), rpc(&machine) {
     fsys.AttachRpc(&rpc);
     producer = machine.CreateDomain("producer");
     consumer = machine.CreateDomain("consumer");
-  }
-
-  static MachineConfig MakeConfig(std::uint32_t cpus) {
-    MachineConfig cfg;
-    cfg.num_cpus = cpus;
-    return cfg;
   }
 
   Machine machine;
@@ -106,17 +98,15 @@ TEST(TransferRing, FullSqIsRetryableBackpressure) {
   EXPECT_EQ(ran, 5);
 }
 
-TEST(TransferRing, DoorbellCoalescesAcrossIdleToArmedRace) {
-  RingWorld w(/*cpus=*/2);
-  Dispatcher dispatcher(&w.machine, &w.loop);
-  w.rpc.AttachDispatcher(&dispatcher);
+TEST(TransferRing, DoorbellCoalescesWhileTheConsumerIsArmed) {
+  RingWorld w;
   RingConfig cfg;
   cfg.doorbell_batch = 1;  // most doorbell-eager configuration
   TransferRing ring(&w.machine, &w.fsys, &w.rpc, &w.loop, *w.producer,
                     *w.consumer, cfg, "ring/t");
   int ran = 0;
-  // The first submission rings; the crossing is in flight on the consumer's
-  // lane while five more submissions land. All six must ride one crossing.
+  // The first submission rings and arms the consumer; its drain is still
+  // pending while five more submissions land. All six must ride one crossing.
   for (int i = 0; i < 6; ++i) {
     ASSERT_EQ(ring.SubmitHandoff(kAttrNoPath,
                                  [&ran, &w] {
