@@ -283,17 +283,15 @@ class JsonReport {
 // Optional extras for TimeAttributionJson, each its own section after the
 // fixed by_layer / by_path / by_cpu split.
 struct AttributionJsonOptions {
-  // When non-null, emit "dispatch_wait_by_path" (Dispatcher::PathWaitNs)
-  // and "ring_occupancy_by_path" (time descriptors sat in a transfer-ring
-  // SQ, RingHub::PathOccupancyNs). Both are latency, not CPU time, so they
-  // sit beside by_path, never inside it.
-  const std::map<AttrPathId, SimTime>* per_path_dispatch_wait = nullptr;
+  // When non-null, emit "ring_occupancy_by_path" (time descriptors sat in a
+  // transfer-ring SQ, RingHub::PathOccupancyNs). That is latency, not CPU
+  // time, so it sits beside by_path, never inside it.
   const std::map<AttrPathId, SimTime>* per_path_ring_occupancy = nullptr;
   // When non-null, emit "by_flow": attributed ns per named flow, where a
   // flow claims a set of path ids (the incast bench: one conversation's
-  // header + data paths). Attribution cells already carry the path id, so
-  // this is a pure regrouping of by_path — charges on paths no flow claims
-  // are reported under "none". Emitted in the given flow order.
+  // header + data paths). This is a pure regrouping of by_path — charges on
+  // paths no flow claims are reported under "none". Emitted in the given
+  // flow order.
   const std::vector<std::pair<std::string, std::vector<AttrPathId>>>* flows =
       nullptr;
 };
@@ -339,10 +337,6 @@ inline Json TimeAttributionJson(Machine& m, const AttributionJsonOptions& opts =
       by_layer.emplace_back(CostDomainName(d), ns);
     }
   }
-  std::map<AttrPathId, SimTime> by_path;
-  for (const auto& [key, ns] : attr.cells()) {
-    by_path[key.path] += ns;
-  }
   Json::Array by_cpu;
   for (std::uint32_t c = 0; c < m.num_cpus(); ++c) {
     const SimTime lane_ns = attr.ByCpu(c);
@@ -360,16 +354,13 @@ inline Json TimeAttributionJson(Machine& m, const AttributionJsonOptions& opts =
   Json::Object out{{"clock_ns", now},
                    {"attributed_ns", attr.total()},
                    {"by_layer", std::move(by_layer)},
-                   {"by_path", PathMapJson(by_path)},
+                   {"by_path", PathMapJson(attr.by_path())},
                    {"by_cpu", std::move(by_cpu)}};
-  if (opts.per_path_dispatch_wait != nullptr) {
-    out.emplace_back("dispatch_wait_by_path", PathMapJson(*opts.per_path_dispatch_wait));
-  }
   if (opts.per_path_ring_occupancy != nullptr) {
     out.emplace_back("ring_occupancy_by_path", PathMapJson(*opts.per_path_ring_occupancy));
   }
   if (opts.flows != nullptr) {
-    // Regroup the path-keyed cells by flow. Paths claimed by two flows are
+    // Regroup the per-path totals by flow. Paths claimed by two flows are
     // double-charged — callers own disjointness; the "none" residue keeps
     // the section's total equal to attributed_ns when claims are disjoint.
     std::map<AttrPathId, std::size_t> owner;
@@ -380,8 +371,8 @@ inline Json TimeAttributionJson(Machine& m, const AttributionJsonOptions& opts =
     }
     std::vector<SimTime> per_flow(opts.flows->size(), 0);
     SimTime unclaimed = 0;
-    for (const auto& [key, ns] : attr.cells()) {
-      auto it = owner.find(key.path);
+    for (const auto& [p, ns] : attr.by_path()) {
+      auto it = owner.find(p);
       if (it == owner.end()) {
         unclaimed += ns;
       } else {

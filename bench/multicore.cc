@@ -7,7 +7,10 @@
 // other (the queueing delay is measured, not modeled away). With one lane
 // the receiving CPU is the bottleneck; adding lanes scales goodput until a
 // hardware resource — RX DMA or the trunk — saturates instead, which is
-// where real multicore hosts stop benefiting too.
+// where real multicore hosts stop benefiting too. The bench checks that
+// claim and exits nonzero when it fails: every flow count F >= 2 gains at
+// least kMinScaling in goodput from 1 to 2 lanes, and every F >= 4 from 2
+// to 4 lanes.
 //
 // Every point hard-checks attribution conservation on the receiver, per
 // lane and to the nanosecond: the time attributed to lane i must equal lane
@@ -17,8 +20,10 @@
 // lane_conservation instant per lane for tools/validate_traces.py.
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,6 +35,9 @@ namespace bench {
 namespace {
 
 constexpr std::uint64_t kPduBytes = 2 * 1024;
+// Least goodput ratio a doubling of lanes must buy while each lane still has
+// a flow of its own.
+constexpr double kMinScaling = 1.5;
 
 struct SweepPoint {
   std::size_t flows = 0;
@@ -118,14 +126,9 @@ SweepPoint RunPoint(std::size_t flows, std::uint32_t cpus,
 
   // Conservation, checked on every point (TimeAttributionJson aborts on any
   // violation): total attributed == sum of lane clocks, and each lane's
-  // cells == that lane's clock, nanosecond-exact.
-  AttributionJsonOptions opts;
-  if (rx->dispatcher != nullptr) {
-    // The queueing delay by submitting path, beside by_path's CPU time.
-    opts.per_path_dispatch_wait = &rx->dispatcher->PathWaitNs();
-  }
+  // total == that lane's clock, nanosecond-exact.
   artifacts->attribution_json =
-      Json::Object{{"receiver", TimeAttributionJson(rx->machine, opts)}};
+      Json::Object{{"receiver", TimeAttributionJson(rx->machine)}};
   artifacts->metrics_json = capture.metrics().ToJson();
   if (artifacts->export_trace) {
     capture.WriteTrace();
@@ -155,12 +158,14 @@ int Main(int argc, char** argv) {
   JsonReport report("multicore");
   Json attr_json;
   Json metrics_json;
+  std::map<std::pair<std::size_t, std::uint32_t>, double> goodput;  // (flows, cpus)
   for (std::size_t flows : flow_counts) {
     for (std::uint32_t cpus : cpu_counts) {
       const bool last = flows == flow_counts.back() && cpus == cpu_counts.back();
       PointArtifacts artifacts;
       artifacts.export_trace = last;
       const SweepPoint p = RunPoint(flows, cpus, messages, &artifacts);
+      goodput[{flows, cpus}] = p.goodput_mbps;
       if (last) {
         attr_json = std::move(artifacts.attribution_json);
         metrics_json = std::move(artifacts.metrics_json);
@@ -189,7 +194,22 @@ int Main(int argc, char** argv) {
   report.Section("time_attribution", std::move(attr_json));
   report.Section("metrics", std::move(metrics_json));
   report.Write();
-  return 0;
+
+  // --- Self-check: doubling the lanes scales goodput ---------------------------
+  bool ok = true;
+  std::printf("\n");
+  for (std::size_t flows : flow_counts) {
+    for (std::uint32_t cpus = 2; cpus <= cpu_counts.back() && cpus <= flows; cpus *= 2) {
+      const double ratio = goodput[{flows, cpus}] / goodput[{flows, cpus / 2}];
+      const bool pass = ratio >= kMinScaling;
+      ok = ok && pass;
+      std::printf("%zu flows, %u vs %u cpus: %.2fx goodput (at least %.1fx)%s\n", flows,
+                  cpus, cpus / 2, ratio, kMinScaling, pass ? "" : "  SELF-CHECK FAILED");
+    }
+  }
+  std::printf("\n%s\n", ok ? "multicore scaling self-checks passed"
+                           : "MULTICORE SCALING SELF-CHECK FAILURES (see above)");
+  return ok ? 0 : 1;
 }
 
 }  // namespace

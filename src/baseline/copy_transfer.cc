@@ -6,7 +6,6 @@ namespace fbufs {
 
 Status CopyTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* ref) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), originator.id());
   const std::uint64_t pages = PagesFor(bytes);
   auto va = originator.aspace().Allocate(pages);
   if (!va.has_value()) {
@@ -29,7 +28,6 @@ Status CopyTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* r
 
 Status CopyTransfer::ReceiverBuffer(Domain& to, std::uint64_t pages, VirtAddr* addr) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), to.id());
   auto it = pool_.find({to.id(), pages});
   if (it != pool_.end()) {
     *addr = it->second;
@@ -55,7 +53,6 @@ Status CopyTransfer::ReceiverBuffer(Domain& to, std::uint64_t pages, VirtAddr* a
 
 Status CopyTransfer::Send(BufferRef& ref, Domain& from, Domain& to) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), from.id());
   VirtAddr dst = 0;
   Status st = ReceiverBuffer(to, ref.pages, &dst);
   if (!Ok(st)) {
@@ -78,7 +75,6 @@ Status CopyTransfer::Send(BufferRef& ref, Domain& from, Domain& to) {
 
 Status CopyTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), receiver.id());
   // The landing buffer is pooled; nothing to undo.
   (void)ref;
   (void)receiver;
@@ -87,7 +83,6 @@ Status CopyTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
 
 Status CopyTransfer::SenderFree(BufferRef& ref, Domain& sender) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), sender.id());
   machine_->clock().Advance(machine_->costs().va_free_ns);
   const Status st =
       machine_->vm().Unmap(sender, ref.sender_addr, ref.pages, ChargeMode::kGeneral);

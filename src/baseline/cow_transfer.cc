@@ -4,7 +4,6 @@ namespace fbufs {
 
 Status CowTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* ref) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), originator.id());
   const std::uint64_t pages = PagesFor(bytes);
   auto va = originator.aspace().Allocate(pages);
   if (!va.has_value()) {
@@ -26,7 +25,6 @@ Status CowTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* re
 
 Status CowTransfer::Send(BufferRef& ref, Domain& from, Domain& to) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), from.id());
   // The receiver gets a fresh address range each message (Mach receives into
   // newly allocated out-of-line memory). Range reservation is per message,
   // not per page.
@@ -46,7 +44,6 @@ Status CowTransfer::Send(BufferRef& ref, Domain& from, Domain& to) {
 
 Status CowTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), receiver.id());
   // Bulk deallocate: per-page pt removal + TLB consistency.
   const Status st =
       machine_->vm().Unmap(receiver, ref.receiver_addr, ref.pages, ChargeMode::kStreamlined);
@@ -60,7 +57,6 @@ Status CowTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
 
 Status CowTransfer::SenderFree(BufferRef& ref, Domain& sender) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), sender.id());
   machine_->clock().Advance(machine_->costs().va_free_ns);
   const Status st =
       machine_->vm().Unmap(sender, ref.sender_addr, ref.pages, ChargeMode::kGeneral);

@@ -4,7 +4,6 @@ namespace fbufs {
 
 Status RemapTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* ref) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), originator.id());
   const std::uint64_t pages = PagesFor(bytes);
   auto va = shared_va_.Allocate(pages);
   if (!va.has_value()) {
@@ -36,19 +35,16 @@ Status RemapTransfer::Alloc(Domain& originator, std::uint64_t bytes, BufferRef* 
 
 Status RemapTransfer::Send(BufferRef& ref, Domain& from, Domain& to) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), from.id());
   return machine_->vm().Remap(from, ref.sender_addr, to, ref.sender_addr, ref.pages);
 }
 
 Status RemapTransfer::SendBack(BufferRef& ref, Domain& from, Domain& to) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), from.id());
   return machine_->vm().Remap(from, ref.sender_addr, to, ref.sender_addr, ref.pages);
 }
 
 Status RemapTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), receiver.id());
   if (mode_ == Mode::kPingPong) {
     return Status::kOk;  // the buffer bounces back instead
   }
@@ -64,7 +60,6 @@ Status RemapTransfer::ReceiverFree(BufferRef& ref, Domain& receiver) {
 
 Status RemapTransfer::SenderFree(BufferRef& ref, Domain& sender) {
   LayerScope layer(machine_->attribution(), CostDomain::kBaseline);
-  ActorScope actor(machine_->attribution(), sender.id());
   // Move semantics: after Send the sender no longer owns the pages, and the
   // receiver's ReceiverFree already released the shared range. Only a buffer
   // that was never sent (or bounced back in ping-pong) is released here.

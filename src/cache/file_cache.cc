@@ -33,7 +33,6 @@ void FileCache::TouchLru(const Key& key, CachedBlock& cb) {
 Status FileCache::FetchFromDisk(const Key& key, Message* out) {
   Machine& machine = fsys_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kCache);
-  ActorScope actor(machine.attribution(), kernel_->id());
   PathScope pscope(machine.attribution(), cache_path_);
   TraceSpan span(machine.trace(), TraceCategory::kFbuf, "disk-fetch", key.file, key.block);
   Fbuf* fb = nullptr;

@@ -36,35 +36,6 @@ FbufSystem::Allocator& FbufSystem::GetAllocator(DomainId domain, PathId path, bo
   return it->second;
 }
 
-std::map<std::uint64_t, std::vector<FbufId>>& FbufSystem::CpuFreeLists(Allocator& a) {
-  if (a.cpu_free_lists.size() < machine_->num_cpus()) {
-    a.cpu_free_lists.resize(machine_->num_cpus());
-  }
-  return a.cpu_free_lists[machine_->active_cpu()];
-}
-
-std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> FbufSystem::AllFreeListMaps(
-    Allocator& a) {
-  std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> maps;
-  maps.reserve(1 + a.cpu_free_lists.size());
-  maps.push_back(&a.free_lists);
-  for (auto& m : a.cpu_free_lists) {
-    maps.push_back(&m);
-  }
-  return maps;
-}
-
-std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*> FbufSystem::AllFreeListMaps(
-    const Allocator& a) {
-  std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*> maps;
-  maps.reserve(1 + a.cpu_free_lists.size());
-  maps.push_back(&a.free_lists);
-  for (const auto& m : a.cpu_free_lists) {
-    maps.push_back(&m);
-  }
-  return maps;
-}
-
 Status FbufSystem::GrowAllocator(Allocator& a, std::uint64_t pages) {
   // Round the request up to whole chunks; grab them contiguously so a single
   // fbuf can span them.
@@ -103,7 +74,6 @@ Status FbufSystem::Allocate(Domain& originator, PathId path, std::uint64_t bytes
     return Status::kInvalidArgument;
   }
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), originator.id());
   PathScope pscope(machine_->attribution(), path);
   TraceSpan span(machine_->trace(), TraceCategory::kFbuf, "fbuf-alloc", originator.id(), bytes);
   const SimTime alloc_start = machine_->clock().Now();
@@ -142,20 +112,10 @@ Status FbufSystem::AllocateInternal(Domain& originator, PathId path, std::uint64
 
   // Fast path: reuse a cached fbuf of the right size. LIFO order keeps the
   // warmest (most likely memory-resident) fbuf on top; the FIFO ablation
-  // takes from the cold end instead. On a multicore machine the allocating
-  // lane's own cache is tried first (warm for this CPU), falling back to the
-  // shared lists before carving.
+  // takes from the cold end instead.
   if (cached) {
-    std::map<std::uint64_t, std::vector<FbufId>>* lists = &a.free_lists;
-    if (machine_->num_cpus() > 1) {
-      auto& mine = CpuFreeLists(a);
-      auto cit = mine.find(pages);
-      if (cit != mine.end() && !cit->second.empty()) {
-        lists = &mine;
-      }
-    }
-    auto it = lists->find(pages);
-    if (it != lists->end() && !it->second.empty()) {
+    auto it = a.free_lists.find(pages);
+    if (it != a.free_lists.end() && !it->second.empty()) {
       FbufId reuse_id;
       if (config_.lifo_free_lists) {
         reuse_id = it->second.back();
@@ -249,19 +209,17 @@ std::uint64_t FbufSystem::ShrinkIdlePaths(SimTime idle_ns) {
     if (!a.cached || a.defunct || now - a.last_alloc < idle_ns) {
       continue;
     }
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
-        while (!list.empty()) {
-          const FbufId id = list.front();
-          list.erase(list.begin());
-          Fbuf* fb = fbufs_[id].get();
-          if (fb->dead || !fb->free_listed) {
-            continue;
-          }
-          fb->free_listed = false;
-          released += fb->pages;
-          DestroyFbuf(fb);
+    for (auto& [pages, list] : a.free_lists) {
+      while (!list.empty()) {
+        const FbufId id = list.front();
+        list.erase(list.begin());
+        Fbuf* fb = fbufs_[id].get();
+        if (fb->dead || !fb->free_listed) {
+          continue;
         }
+        fb->free_listed = false;
+        released += fb->pages;
+        DestroyFbuf(fb);
       }
     }
     // Fully drained: give the chunks back to the region. The allocator stays
@@ -333,7 +291,6 @@ Status FbufSystem::Transfer(Fbuf* fb, Domain& from, Domain& to, bool lazy) {
     return Status::kNotOwner;
   }
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), from.id());
   PathScope pscope(machine_->attribution(), fb->path);
   machine_->stats().fbuf_transfers++;
   TraceSpan span(machine_->trace(), TraceCategory::kFbuf, "fbuf-transfer", fb->id,
@@ -412,7 +369,6 @@ Status FbufSystem::Secure(Fbuf* fb, Domain& requester) {
     return Status::kOk;  // no-op: already immutable or trusted originator
   }
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), requester.id());
   PathScope pscope(machine_->attribution(), fb->path);
   return SecureInternal(fb);
 }
@@ -445,7 +401,6 @@ Status FbufSystem::Free(Fbuf* fb, Domain& d) {
     return Status::kInvalidArgument;
   }
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), d.id());
   PathScope pscope(machine_->attribution(), fb->path);
   auto it = std::find(fb->holders.begin(), fb->holders.end(), d.id());
   if (it == fb->holders.end()) {
@@ -510,7 +465,6 @@ void FbufSystem::FlushNotices(DomainId holder, DomainId owner) {
     return;
   }
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), holder);
   // An explicit message: pay a crossing.
   Domain* h = machine_->domain(holder);
   Domain* o = machine_->domain(owner);
@@ -554,7 +508,6 @@ void FbufSystem::ApplyRingNotice(DomainId holder, DomainId owner, FbufId id) {
   machine_->trace().Emit(TraceCategory::kIpc, "dealloc-notices", holder, 1);
   machine_->stats().dealloc_notices++;
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), owner);
   PathScope pscope(machine_->attribution(), fb->path);
   if (machine_->lifecycle() != nullptr) {
     machine_->lifecycle()->Hop(fb->id, HopKind::kNotice, owner, "ring", holder);
@@ -584,12 +537,7 @@ void FbufSystem::ReturnToOwner(Fbuf* fb) {
   const bool path_alive = fb->path == kNoPath || (path != nullptr && path->alive);
   if (fb->cached && !a.defunct && path_alive) {
     fb->free_listed = true;
-    if (machine_->num_cpus() > 1) {
-      // The freeing lane keeps the fbuf in its own cache (it is warm there).
-      CpuFreeLists(a)[fb->pages].push_back(fb->id);
-    } else {
-      a.free_lists[fb->pages].push_back(fb->id);
-    }
+    a.free_lists[fb->pages].push_back(fb->id);
     return;
   }
   DestroyFbuf(fb);
@@ -638,11 +586,9 @@ std::uint64_t FbufSystem::ReclaimFreeMemory(std::uint64_t max_pages) {
   // list is the least recently freed fbuf.
   std::vector<Fbuf*> victims;
   for (auto& [key, a] : allocators_) {
-    for (auto* lists : AllFreeListMaps(a)) {
-      for (auto& [pages, list] : *lists) {
-        for (FbufId id : list) {
-          victims.push_back(fbufs_[id].get());
-        }
+    for (auto& [pages, list] : a.free_lists) {
+      for (FbufId id : list) {
+        victims.push_back(fbufs_[id].get());
       }
     }
   }
@@ -712,7 +658,6 @@ void FbufSystem::DestroyPath(PathId path) {
   for (auto& [key, a] : allocators_) {
     if (a.path == path) {
       a.free_lists.clear();
-      a.cpu_free_lists.clear();
       a.defunct = true;
       ReleaseAllocatorIfDrained(a);
     }
@@ -733,19 +678,16 @@ void FbufSystem::OnDomainTerminated(Domain& d) {
     if (a.domain == d.id()) {
       a.defunct = true;
       // Free-listed fbufs of defunct allocators are destroyed now.
-      for (auto* lists : AllFreeListMaps(a)) {
-        for (auto& [pages, list] : *lists) {
-          for (FbufId id : list) {
-            Fbuf* fb = fbufs_[id].get();
-            if (!fb->dead && fb->free_listed) {
-              fb->free_listed = false;
-              DestroyFbuf(fb);
-            }
+      for (auto& [pages, list] : a.free_lists) {
+        for (FbufId id : list) {
+          Fbuf* fb = fbufs_[id].get();
+          if (!fb->dead && fb->free_listed) {
+            fb->free_listed = false;
+            DestroyFbuf(fb);
           }
         }
       }
       a.free_lists.clear();
-      a.cpu_free_lists.clear();
       ReleaseAllocatorIfDrained(a);
     }
   }
@@ -948,7 +890,6 @@ void FbufSystem::DropSwap(FbufId id) {
 
 Status FbufSystem::RegionFault(Domain& d, Vpn vpn, Access access) {
   LayerScope layer(machine_->attribution(), CostDomain::kFbuf);
-  ActorScope actor(machine_->attribution(), d.id());
   VmEntry* e = d.FindEntry(vpn);
   if (e != nullptr) {
     if (!Allows(e->prot, access)) {
@@ -1065,14 +1006,12 @@ FbufSystem::AuditCounts FbufSystem::Audit() const {
     }
   }
   for (const auto& [key, a] : allocators_) {
-    for (const auto* lists : AllFreeListMaps(a)) {
-      for (const auto& [pages, list] : *lists) {
-        for (FbufId id : list) {
-          c.free_list_entries++;
-          const Fbuf* fb = fbufs_[id].get();
-          if (fb->dead || !fb->free_listed || fb->pages != pages || a.defunct) {
-            c.free_list_errors++;
-          }
+    for (const auto& [pages, list] : a.free_lists) {
+      for (FbufId id : list) {
+        c.free_list_entries++;
+        const Fbuf* fb = fbufs_[id].get();
+        if (fb->dead || !fb->free_listed || fb->pages != pages || a.defunct) {
+          c.free_list_errors++;
         }
       }
     }
@@ -1132,10 +1071,8 @@ std::size_t FbufSystem::FreeListSize(DomainId domain, PathId path) const {
     return 0;
   }
   std::size_t n = 0;
-  for (const auto* lists : AllFreeListMaps(it->second)) {
-    for (const auto& [pages, list] : *lists) {
-      n += list.size();
-    }
+  for (const auto& [pages, list] : it->second.free_lists) {
+    n += list.size();
   }
   return n;
 }
@@ -1146,10 +1083,8 @@ std::string FbufSystem::DebugDump() const {
      << swap_.size() << " pages in swap\n";
   for (const auto& [key, a] : allocators_) {
     std::size_t free_count = 0;
-    for (const auto* lists : AllFreeListMaps(a)) {
-      for (const auto& [pages, list] : *lists) {
-        free_count += list.size();
-      }
+    for (const auto& [pages, list] : a.free_lists) {
+      free_count += list.size();
     }
     os << "  allocator dom=" << a.domain << " path=";
     if (a.path == kNoPath) {

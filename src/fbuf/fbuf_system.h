@@ -246,13 +246,6 @@ class FbufSystem {
     AddressSpace va{AddressSpace::Empty{}};
     // LIFO free lists, one per fbuf size in pages.
     std::map<std::uint64_t, std::vector<FbufId>> free_lists;
-    // Per-CPU free-list caches (slab/percpu idiom), populated only on
-    // multicore machines: Free pushes onto the freeing lane's cache and
-    // Allocate tries the allocating lane's cache before the shared lists,
-    // so flows pinned to different CPUs stop contending on one LIFO. Audit
-    // accounting treats these exactly like the shared lists.
-    // Always empty on a single-CPU machine.
-    std::vector<std::map<std::uint64_t, std::vector<FbufId>>> cpu_free_lists;
     std::vector<std::pair<VirtAddr, std::uint64_t>> chunk_ranges;
   };
 
@@ -261,15 +254,6 @@ class FbufSystem {
   }
 
   Allocator& GetAllocator(DomainId domain, PathId path, bool cached);
-  // The active CPU lane's free-list cache of |a| (lazily sized). Multicore
-  // only; never called on a single-CPU machine.
-  std::map<std::uint64_t, std::vector<FbufId>>& CpuFreeLists(Allocator& a);
-  // Every free-list map of |a|: the shared one first, then each per-CPU
-  // cache. Shrink/reclaim/audit walks cover all of them.
-  static std::vector<std::map<std::uint64_t, std::vector<FbufId>>*> AllFreeListMaps(
-      Allocator& a);
-  static std::vector<const std::map<std::uint64_t, std::vector<FbufId>>*>
-  AllFreeListMaps(const Allocator& a);
   Status GrowAllocator(Allocator& a, std::uint64_t pages);
   Status AllocateInternal(Domain& originator, PathId path, std::uint64_t bytes,
                           bool want_volatile, Fbuf** out, bool clear_pages);

@@ -41,9 +41,6 @@ DispatchQueue& Dispatcher::QueueForCpu(std::uint32_t cpu) {
 
 void Dispatcher::RunOnCpu(std::uint32_t cpu, SimTime ready, std::string label,
                           DispatchQueue::Work work, DispatchQueue::Done done) {
-  // The path active at submission time owns whatever queueing delay the item
-  // accumulates; the work itself re-establishes its own scopes when it runs.
-  const AttrPathId path = machine_->attribution().path();
   QueueForCpu(cpu).Enqueue(
       ready, std::move(label),
       [this, work = std::move(work)] {
@@ -54,8 +51,7 @@ void Dispatcher::RunOnCpu(std::uint32_t cpu, SimTime ready, std::string label,
         }
         work();
       },
-      std::move(done),
-      [this, path](SimTime wait) { path_wait_ns_[path] += wait; });
+      std::move(done));
 }
 
 SimTime Dispatcher::TotalWaitNs() const {

@@ -4,7 +4,7 @@
 // this layer owns the wiring. A Dispatcher keeps one queue per CPU lane.
 // Work routed through a Dispatcher runs with the machine's active CPU
 // switched to the servicing lane — clock charges, trace timestamps and
-// attribution cells all land on that lane — and pays the modeled
+// attributed time all land on that lane — and pays the modeled
 // per-dispatch scheduling cost under CostDomain::kDispatch.
 //
 // Placement policy: receive processing steers by VCI (RssSteer): one flow
@@ -14,7 +14,6 @@
 #define SRC_IPC_DISPATCH_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -49,16 +48,9 @@ class Dispatcher {
   SimTime TotalWaitNs() const;
   SimTime MaxWaitNs() const;
 
-  // Queueing delay sliced by the I/O path that was active when the work was
-  // submitted (kAttrNoPath collects untagged submissions). Waits are latency,
-  // not CPU time, so they sit beside the attribution cells, keyed the same
-  // way the profiler keys its path coordinate.
-  const std::map<AttrPathId, SimTime>& PathWaitNs() const { return path_wait_ns_; }
-
  private:
   Machine* machine_;
   EventLoop* loop_;
-  std::map<AttrPathId, SimTime> path_wait_ns_;
   std::vector<std::unique_ptr<DispatchQueue>> cpu_queues_;  // index = lane
 };
 

@@ -7,7 +7,6 @@ void Rpc::ChargeCrossing(Domain& a, Domain& b) {
     return;
   }
   LayerScope layer(machine_->attribution(), CostDomain::kIpc);
-  ActorScope actor(machine_->attribution(), a.id());
   const CostParams& c = machine_->costs();
   const bool kernel_involved = a.id() == kKernelDomainId || b.id() == kKernelDomainId;
   machine_->trace().Emit(TraceCategory::kIpc, "crossing", a.id(), b.id());

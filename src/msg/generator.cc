@@ -40,7 +40,6 @@ Status UnitGenerator::Emit(std::uint64_t len, std::vector<std::uint8_t>* out,
     // The unit straddles a fragment boundary: a real implementation copies
     // it into contiguous storage here.
     LayerScope layer(domain_->machine().attribution(), CostDomain::kMsg);
-    ActorScope actor(domain_->machine().attribution(), domain_->id());
     domain_->machine().clock().Advance(domain_->machine().costs().CopyCost(len));
     domain_->machine().stats().bytes_copied += len;
     units_copied_++;

@@ -106,7 +106,6 @@ class HbioChannel {
   Status ReadCopy(const Message& m, void* buf, std::uint64_t len) {
     const std::uint64_t n = std::min(len, m.length());
     LayerScope layer(fsys_->machine().attribution(), CostDomain::kMsg);
-    ActorScope actor(fsys_->machine().attribution(), consumer_->id());
     const Status st = m.CopyOut(*consumer_, 0, buf, n);
     if (!Ok(st)) {
       return st;

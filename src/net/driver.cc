@@ -7,7 +7,6 @@ namespace fbufs {
 Status DriverProtocol::Push(Message m) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kNet);
-  ActorScope actor(machine.attribution(), domain()->id());
   TraceSpan span(machine.trace(), TraceCategory::kNet, "driver-tx", vci_, m.length());
   machine.clock().Advance(machine.costs().driver_pdu_ns +
                           m.length() * machine.costs().driver_byte_ns);
@@ -59,7 +58,6 @@ Status DriverProtocol::DeliverPdu(const std::vector<std::uint8_t>& payload, std:
                                   bool volatile_fbufs) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kNet);
-  ActorScope actor(machine.attribution(), domain()->id());
   TraceSpan span(machine.trace(), TraceCategory::kNet, "driver-rx", vci, payload.size());
   machine.clock().Advance(machine.costs().driver_pdu_ns +
                           payload.size() * machine.costs().driver_byte_ns);

@@ -36,57 +36,4 @@ const char* CostDomainName(CostDomain d) {
   return "?";
 }
 
-SimTime Attribution::ByLayer(CostDomain d) const {
-  SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.layer == d) {
-      sum += ns;
-    }
-  }
-  return sum;
-}
-
-SimTime Attribution::ByDomain(DomainId d) const {
-  SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.domain == d) {
-      sum += ns;
-    }
-  }
-  return sum;
-}
-
-SimTime Attribution::ByPath(AttrPathId p) const {
-  SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.path == p) {
-      sum += ns;
-    }
-  }
-  return sum;
-}
-
-SimTime Attribution::ByCpu(std::uint32_t c) const {
-  SimTime sum = 0;
-  for (const auto& [key, ns] : cells_) {
-    if (key.cpu == c) {
-      sum += ns;
-    }
-  }
-  return sum;
-}
-
-Attribution::Snapshot Attribution::Snapshot::Since(const Snapshot& base) const {
-  Snapshot delta;
-  delta.total = total - base.total;
-  for (const auto& [key, ns] : cells) {
-    auto it = base.cells.find(key);
-    const SimTime before = it == base.cells.end() ? 0 : it->second;
-    if (ns > before) {
-      delta.cells[key] = ns - before;
-    }
-  }
-  return delta;
-}
-
 }  // namespace fbufs

@@ -3,36 +3,35 @@
 // The paper's whole argument is a cost decomposition (Tables 1/2 charge each
 // transfer facility per page for clearing, copying, mapping and TLB/cache
 // consistency). SimStats counts *operations*; this profiler accounts *time*,
-// broken down three ways at once:
+// as three running totals over the same charges:
 //
 //   * layer  (CostDomain) — which subsystem charged the clock (vm, fbuf,
 //     ipc, baseline, proto, net, cache, msg, app, wait);
-//   * actor  — the protection domain on whose behalf the charge was made;
-//   * path   — the I/O data path the work belonged to.
+//   * path   — the I/O data path the work belonged to;
+//   * cpu    — the CPU lane whose clock moved.
 //
 // The accumulator hangs off the host's SimClock via its charge hook, so
 // every clock movement — explicit Advance charges and event-delivery waits
-// alike — lands in exactly one (layer, actor, path) cell. That makes the
-// conservation invariant structural rather than aspirational:
+// alike — is added once to each total. That makes the conservation
+// invariant structural rather than aspirational:
 //
-//     sum over all cells == host clock elapsed, always.
+//     sum by layer == sum by path == sum by cpu == host clock elapsed.
 //
 // Charge sites tag themselves with cheap RAII scopes (LayerScope,
-// ActorScope, PathScope); the innermost layer wins, so VM work performed on
-// behalf of an fbuf transfer is attributed to the VM layer while the fbuf
-// bookkeeping around it stays with the fbuf layer. Untagged charges fall
-// into kOther — visible, never lost. Event-delivery waits (AdvanceTo) are
-// attributed to kWait. Attribution charges zero simulated time itself, so
-// enabling it cannot perturb any bench number.
+// PathScope); the innermost layer wins, so VM work performed on behalf of
+// an fbuf transfer is attributed to the VM layer while the fbuf bookkeeping
+// around it stays with the fbuf layer. Untagged charges fall into kOther —
+// visible, never lost. Event-delivery waits (AdvanceTo) are attributed to
+// kWait. Attribution charges zero simulated time itself, so enabling it
+// cannot perturb any bench number.
 #ifndef SRC_OBS_ATTRIBUTION_H_
 #define SRC_OBS_ATTRIBUTION_H_
 
 #include <cstdint>
 #include <map>
-#include <string>
+#include <vector>
 
 #include "src/sim/clock.h"
-#include "src/vm/types.h"
 
 namespace fbufs {
 
@@ -64,52 +63,14 @@ const char* CostDomainName(CostDomain d);
 
 class Attribution {
  public:
-  // One accumulation cell: (layer, acting domain, path, cpu). Ordered so
-  // serialization is deterministic. The cpu dimension is 0 for the whole
-  // life of a single-CPU machine, so single-CPU cell sets are unchanged.
-  struct Key {
-    CostDomain layer = CostDomain::kOther;
-    DomainId domain = kInvalidDomainId;
-    AttrPathId path = kAttrNoPath;
-    std::uint32_t cpu = 0;
-
-    bool operator<(const Key& o) const {
-      if (layer != o.layer) {
-        return layer < o.layer;
-      }
-      if (domain != o.domain) {
-        return domain < o.domain;
-      }
-      if (path != o.path) {
-        return path < o.path;
-      }
-      return cpu < o.cpu;
-    }
-    bool operator==(const Key& o) const {
-      return layer == o.layer && domain == o.domain && path == o.path && cpu == o.cpu;
-    }
-  };
-
   Attribution() = default;
 
   Attribution(const Attribution&) = delete;
   Attribution& operator=(const Attribution&) = delete;
 
   // --- Recording (called from the SimClock charge hook) ----------------------
-  void Record(SimTime ns) {
-    if (work_cell_ == nullptr) {
-      work_cell_ = &cells_[Key{CurrentLayer(), actor_, path_, cpu_}];
-    }
-    *work_cell_ += ns;
-    total_ += ns;
-  }
-  void RecordWait(SimTime ns) {
-    if (wait_cell_ == nullptr) {
-      wait_cell_ = &cells_[Key{CostDomain::kWait, actor_, path_, cpu_}];
-    }
-    *wait_cell_ += ns;
-    total_ += ns;
-  }
+  void Record(SimTime ns) { Add(CurrentLayer(), ns); }
+  void RecordWait(SimTime ns) { Add(CostDomain::kWait, ns); }
 
   // The SimClock::ChargeHook thunk: |ctx| is the Attribution*.
   static void ClockHook(void* ctx, SimTime ns, bool wait) {
@@ -127,12 +88,8 @@ class Attribution {
       stack_[depth_] = d;
     }
     depth_++;
-    work_cell_ = nullptr;
   }
-  void PopLayer() {
-    depth_--;
-    work_cell_ = nullptr;
-  }
+  void PopLayer() { depth_--; }
   CostDomain CurrentLayer() const {
     if (depth_ == 0) {
       return CostDomain::kOther;
@@ -141,22 +98,22 @@ class Attribution {
     return stack_[top];
   }
 
-  DomainId actor() const { return actor_; }
-  void SetActor(DomainId d) {
-    actor_ = d;
-    Invalidate();
-  }
   AttrPathId path() const { return path_; }
+  // Drops the cached path total; the next charge looks it up (one map
+  // lookup per path change that is charged at all, none per layer edge).
   void SetPath(AttrPathId p) {
-    path_ = p;
-    Invalidate();
+    if (p != path_) {
+      path_ = p;
+      path_ns_ = nullptr;
+    }
   }
-  std::uint32_t cpu() const { return cpu_; }
   // The CPU lane charges land on. Maintained by Machine::SetActiveCpu, not
   // by a scope here: the active lane is machine state, not call-site state.
   void SetCpu(std::uint32_t c) {
+    if (c >= cpu_ns_.size()) {
+      cpu_ns_.resize(c + 1, 0);
+    }
     cpu_ = c;
-    Invalidate();
   }
 
   // --- Inspection -------------------------------------------------------------
@@ -164,47 +121,34 @@ class Attribution {
   // clock's Now() whenever the accumulator was attached at clock birth.
   SimTime total() const { return total_; }
 
-  SimTime ByLayer(CostDomain d) const;
-  SimTime ByDomain(DomainId d) const;
-  SimTime ByPath(AttrPathId p) const;
+  SimTime ByLayer(CostDomain d) const { return layer_ns_[static_cast<std::size_t>(d)]; }
   // Per-lane total: on a multicore machine this equals that lane's clock
   // (per-lane conservation); summed over lanes it equals total().
-  SimTime ByCpu(std::uint32_t c) const;
-  const std::map<Key, SimTime>& cells() const { return cells_; }
-
-  // A value-semantics copy for windowed measurement (bench warmup).
-  struct Snapshot {
-    std::map<Key, SimTime> cells;
-    SimTime total = 0;
-
-    // Cell-wise difference against an earlier snapshot of the same
-    // accumulator (assumes monotonic growth).
-    Snapshot Since(const Snapshot& base) const;
-  };
-  Snapshot Take() const { return Snapshot{cells_, total_}; }
+  SimTime ByCpu(std::uint32_t c) const { return c < cpu_ns_.size() ? cpu_ns_[c] : 0; }
+  // Per-path totals, ordered by path id (kAttrNoPath, the untagged path,
+  // last). Entries exist only for paths some nonzero charge reached.
+  const std::map<AttrPathId, SimTime>& by_path() const { return by_path_; }
 
  private:
   static constexpr std::size_t kMaxDepth = 16;
 
-  // Drops both cached cell pointers after an actor, path or cpu change (a
-  // layer change drops only work_cell_: waits are always keyed kWait). Scope
-  // edges are therefore two stores; the first Record or RecordWait under the
-  // new context resolves its cell with one map lookup, and later charges in
-  // the same context are two additions. Cells are created only when a
-  // nonzero charge lands (SimClock never hooks a zero move), so cells()
-  // holds no zero entries.
-  void Invalidate() {
-    work_cell_ = nullptr;
-    wait_cell_ = nullptr;
+  void Add(CostDomain layer, SimTime ns) {
+    layer_ns_[static_cast<std::size_t>(layer)] += ns;
+    if (path_ns_ == nullptr) {
+      path_ns_ = &by_path_[path_];
+    }
+    *path_ns_ += ns;
+    cpu_ns_[cpu_] += ns;
+    total_ += ns;
   }
 
-  std::map<Key, SimTime> cells_;
+  SimTime layer_ns_[static_cast<std::size_t>(CostDomain::kCount)] = {};
+  std::map<AttrPathId, SimTime> by_path_;
+  SimTime* path_ns_ = nullptr;  // by_path_[path_], or null until charged
+  std::vector<SimTime> cpu_ns_ = std::vector<SimTime>(1, 0);
   SimTime total_ = 0;
-  SimTime* work_cell_ = nullptr;
-  SimTime* wait_cell_ = nullptr;
   CostDomain stack_[kMaxDepth] = {};
   std::size_t depth_ = 0;
-  DomainId actor_ = kInvalidDomainId;
   AttrPathId path_ = kAttrNoPath;
   std::uint32_t cpu_ = 0;
 };
@@ -220,18 +164,6 @@ class LayerScope {
 
  private:
   Attribution* a_;
-};
-
-class ActorScope {
- public:
-  ActorScope(Attribution& a, DomainId d) : a_(&a), prev_(a.actor()) { a_->SetActor(d); }
-  ~ActorScope() { a_->SetActor(prev_); }
-  ActorScope(const ActorScope&) = delete;
-  ActorScope& operator=(const ActorScope&) = delete;
-
- private:
-  Attribution* a_;
-  DomainId prev_;
 };
 
 class PathScope {

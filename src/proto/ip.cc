@@ -24,7 +24,6 @@ Status IpProtocol::SendFragment(const Message& body, std::uint32_t id, std::uint
                                 std::uint64_t adu_length) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   PathScope pscope(machine.attribution(), hdr_path_);
   TraceSpan span(machine.trace(), TraceCategory::kProto, "ip-fragment", id, offset);
   machine.clock().Advance(machine.costs().proto_pdu_ns);
@@ -62,7 +61,6 @@ Status IpProtocol::Push(Message m) {
   }
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   TraceSpan span(machine.trace(), TraceCategory::kProto, "ip-fragmentation", id, total);
   // Fragmentation does not disturb the original buffers: each fragment is an
   // offset/length view. The paper observes a fixed overhead once a message
@@ -81,7 +79,6 @@ Status IpProtocol::Push(Message m) {
 Status IpProtocol::Pop(Message m) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   machine.clock().Advance(machine.costs().proto_pdu_ns);
 
   IpHeader h;

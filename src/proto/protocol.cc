@@ -42,7 +42,6 @@ Status ProtocolStack::Deliver(const Message& m, Protocol* from, Protocol* to, bo
   // inside it on the exported timeline.
   TraceSpan span(machine_->trace(), TraceCategory::kIpc, "crossing", src.id(), dst.id());
   LayerScope layer(machine_->attribution(), CostDomain::kProto);
-  ActorScope actor(machine_->attribution(), src.id());
   const std::vector<Fbuf*> fbufs = m.Fbufs();
   if (!config_.integrated) {
     // Steps 2a/3c of the base mechanism: build the fbuf list in the sender,
@@ -80,7 +79,6 @@ Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
     // path, so the receiver holds its references before the descriptor is
     // visible in the ring — the fbuf cannot die under the queued handoff.
     LayerScope layer(machine_->attribution(), CostDomain::kProto);
-    ActorScope actor(machine_->attribution(), src.id());
     if (!config_.integrated) {
       machine_->clock().Advance(2 * fbufs.size() *
                                 machine_->costs().fbuf_list_marshal_ns);
@@ -102,7 +100,6 @@ Status ProtocolStack::DeliverRinged(const Message& m, Protocol* to, bool down,
       path,
       [this, m, to, down, dstp] {
         LayerScope layer(machine_->attribution(), CostDomain::kProto);
-        ActorScope actor(machine_->attribution(), dstp->id());
         if (machine_->lifecycle() != nullptr) {
           for (Fbuf* fb : m.Fbufs()) {
             machine_->lifecycle()->Hop(fb->id, HopKind::kRingDeliver,

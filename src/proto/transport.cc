@@ -21,7 +21,6 @@ Transport::Transport(std::string name, Domain* domain, ProtocolStack* stack,
 Status Transport::TransmitData(std::uint32_t seq, const Message& m) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   PathScope pscope(machine.attribution(), hdr_path_);
   // The send span encloses fragmentation (IP) and adapter work below.
   TraceSpan span(machine.trace(), TraceCategory::kProto, span_send_.c_str(),
@@ -60,7 +59,6 @@ Status Transport::TransmitData(std::uint32_t seq, const Message& m) {
 Status Transport::TransmitAck() {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   PathScope pscope(machine.attribution(), hdr_path_);
   TraceSpan span(machine.trace(), TraceCategory::kProto, span_ack_.c_str(),
                  recv_next_, 0);
@@ -209,7 +207,6 @@ Status Transport::DeliverReady() {
 Status Transport::Pop(Message m) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   PathScope pscope(machine.attribution(), hdr_path_);
   TraceSpan span(machine.trace(), TraceCategory::kProto, span_recv_.c_str(),
                  0, m.length());

@@ -24,7 +24,6 @@ std::uint16_t HeaderChecksum(const UdpHeader& h) {
 Status UdpProtocol::Send(const Message& m, std::uint16_t src_port, std::uint16_t dst_port) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   PathScope pscope(machine.attribution(), hdr_path_);
   TraceSpan span(machine.trace(), TraceCategory::kProto, "udp-send", dst_port, m.length());
   machine.clock().Advance(machine.costs().proto_pdu_ns);
@@ -58,7 +57,6 @@ Status UdpProtocol::Send(const Message& m, std::uint16_t src_port, std::uint16_t
 Status UdpProtocol::Pop(Message m) {
   Machine& machine = *stack_->machine();
   LayerScope layer(machine.attribution(), CostDomain::kProto);
-  ActorScope actor(machine.attribution(), domain()->id());
   machine.clock().Advance(machine.costs().proto_pdu_ns);
 
   UdpHeader h;

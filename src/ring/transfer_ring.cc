@@ -74,7 +74,6 @@ Status TransferRing::Submit(Entry e) {
     // The descriptor write: a few cache lines into shared memory, charged to
     // the producer on whatever lane it is running.
     LayerScope layer(machine_->attribution(), CostDomain::kRing);
-    ActorScope actor(machine_->attribution(), producer_);
     PathScope pscope(machine_->attribution(), e.path);
     machine_->clock().Advance(machine_->costs().ring_entry_ns);
   }
@@ -127,7 +126,6 @@ void TransferRing::RingDoorbell(bool from_flush) {
   {
     // MMIO-class store telling the consumer the SQ went non-empty.
     LayerScope layer(machine_->attribution(), CostDomain::kRing);
-    ActorScope actor(machine_->attribution(), producer_);
     machine_->clock().Advance(machine_->costs().ring_doorbell_ns);
   }
   machine_->trace().Emit(TraceCategory::kIpc, "ring-doorbell", producer_,
@@ -172,7 +170,6 @@ void TransferRing::DrainPass() {
     {
       // The descriptor read on the consumer side.
       LayerScope layer(machine_->attribution(), CostDomain::kRing);
-      ActorScope actor(machine_->attribution(), consumer_);
       PathScope pscope(machine_->attribution(), e.path);
       machine_->clock().Advance(machine_->costs().ring_entry_ns);
     }
@@ -225,7 +222,6 @@ void TransferRing::HarvestCompletions(std::vector<Completion>& batch) {
     {
       // The CQE read back on the producer side.
       LayerScope layer(machine_->attribution(), CostDomain::kRing);
-      ActorScope actor(machine_->attribution(), producer_);
       PathScope pscope(machine_->attribution(), c.path);
       machine_->clock().Advance(machine_->costs().ring_entry_ns);
     }

@@ -36,7 +36,6 @@ Status FileServer::Pop(Message m) {
   requests_++;
 
   LayerScope layer(machine.attribution(), CostDomain::kApp);
-  ActorScope actor(machine.attribution(), domain()->id());
   TraceSpan span(machine.trace(), TraceCategory::kProto, "serve", req.file,
                  req.blocks);
 
@@ -148,7 +147,6 @@ Status FileServer::ServeDegraded(FileId file, std::uint64_t block) {
   // The block comes off the disk...
   {
     LayerScope layer(machine.attribution(), CostDomain::kCache);
-    ActorScope actor(machine.attribution(), domain()->id());
     machine.clock().Advance(cache_->config().disk_access_ns);
     machine.clock().Advance(bytes * 8 * 1000 / cache_->config().disk_mbps);
   }
@@ -164,7 +162,6 @@ Status FileServer::ServeDegraded(FileId file, std::uint64_t block) {
   }
   {
     LayerScope layer(machine.attribution(), CostDomain::kBaseline);
-    ActorScope actor(machine.attribution(), domain()->id());
     TraceSpan span(machine.trace(), TraceCategory::kFbuf, "serve-degraded",
                    file, block);
     machine.clock().Advance(machine.costs().CopyCost(bytes));

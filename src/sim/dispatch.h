@@ -44,15 +44,13 @@ class CpuLane : public Resource {
   std::uint32_t index_;
 };
 
-// RSS-style steering: hash a flow key (a VCI) to a fixed lane so one flow's
+// RSS-style steering: map a flow key (a VCI) to a fixed lane so one flow's
 // receive processing always lands on the same CPU (packet order preserved
 // per flow, cache affinity preserved per lane) while distinct flows spread.
-// Fibonacci hashing; any fixed multiplier works, determinism is what counts.
+// Keys modulo lanes: VCIs are handed out consecutively, so N consecutive
+// flows land on N distinct lanes.
 inline std::uint32_t RssSteer(std::uint32_t key, std::uint32_t lanes) {
-  if (lanes <= 1) {
-    return 0;
-  }
-  return static_cast<std::uint32_t>((key * 2654435761u) >> 16) % lanes;
+  return lanes <= 1 ? 0 : key % lanes;
 }
 
 // Serializes work items onto one CpuLane. Items run to completion in enqueue
@@ -64,9 +62,6 @@ class DispatchQueue {
  public:
   using Work = std::function<void()>;
   using Done = std::function<void(SimTime)>;
-  // Per-item queueing-delay observer (the aggregate observer below sees every
-  // item; this one lets the submitter slice waits by its own key, e.g. path).
-  using WaitCb = std::function<void(SimTime)>;
 
   DispatchQueue(EventLoop* loop, CpuLane* lane, std::string name)
       : loop_(loop), lane_(lane), name_(std::move(name)) {}
@@ -90,10 +85,8 @@ class DispatchQueue {
 
   // Enqueues |work|, ready to run at |ready| on the lane's timeline. The
   // queue drains itself through the event loop; callers never block.
-  void Enqueue(SimTime ready, std::string label, Work work, Done done = {},
-               WaitCb wait_cb = {}) {
-    items_.push_back(Item{ready, std::move(label), std::move(work), std::move(done),
-                          std::move(wait_cb)});
+  void Enqueue(SimTime ready, std::string label, Work work, Done done = {}) {
+    items_.push_back(Item{ready, std::move(label), std::move(work), std::move(done)});
     enqueued_++;
     if (depth() > max_depth_) {
       max_depth_ = depth();
@@ -120,7 +113,6 @@ class DispatchQueue {
     std::string label;
     Work work;
     Done done;
-    WaitCb wait_cb;
   };
 
   void SchedulePump(SimTime ready) {
@@ -145,9 +137,6 @@ class DispatchQueue {
     }
     if (wait_obs_) {
       wait_obs_(start, wait);
-    }
-    if (item.wait_cb) {
-      item.wait_cb(wait);
     }
     if (enter_) {
       enter_();

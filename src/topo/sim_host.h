@@ -79,7 +79,6 @@ class RelayProtocol : public Protocol {
   Status Pop(Message m) override {
     Machine& machine = *stack_->machine();
     LayerScope layer(machine.attribution(), CostDomain::kProto);
-    ActorScope actor(machine.attribution(), domain()->id());
     machine.clock().Advance(machine.costs().proto_pdu_ns);
     m.ForEachExtent([this](const Extent& e) {
       if (e.fb != nullptr && first_extent_fbuf_ == nullptr) {

@@ -20,7 +20,6 @@ Status Domain::Translate(Vpn vpn, Access access, FrameId* frame) {
   // TLB refills and fault handling are VM-layer work no matter who touched
   // the address.
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), id_);
   // At most one fault retry: a successful fault installs a pmap entry the
   // refill can use; a second failure is a genuine violation.
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -43,7 +42,6 @@ Status Domain::Translate(Vpn vpn, Access access, FrameId* frame) {
 
 Status Domain::ReadBytes(VirtAddr addr, void* dst, std::size_t len) {
   Attribution& attr = machine_->attribution();
-  ActorScope actor(attr, id_);
   // Data touching is application work unless an enclosing layer (msg, proto)
   // already claimed it.
   LayerScope layer(attr, attr.CurrentLayer() == CostDomain::kOther ? CostDomain::kApp
@@ -69,7 +67,6 @@ Status Domain::ReadBytes(VirtAddr addr, void* dst, std::size_t len) {
 
 Status Domain::WriteBytes(VirtAddr addr, const void* src, std::size_t len) {
   Attribution& attr = machine_->attribution();
-  ActorScope actor(attr, id_);
   LayerScope layer(attr, attr.CurrentLayer() == CostDomain::kOther ? CostDomain::kApp
                                                                    : attr.CurrentLayer());
   const auto* in = static_cast<const std::uint8_t*>(src);

@@ -35,8 +35,8 @@ Machine::Machine(const MachineConfig& config)
       vm_(this) {
   // Attach the time-attribution profiler to every lane clock before any
   // charge can occur, so attr_.total() == sum of lane clocks holds for the
-  // Machine's whole life (and per-lane conservation holds via the cpu
-  // coordinate SetActiveCpu maintains).
+  // Machine's whole life (and per-lane conservation holds via the per-lane
+  // total SetActiveCpu selects).
   for (const auto& lane : cpus_) {
     lane->clock().SetChargeHook(&Attribution::ClockHook, &attr_);
   }

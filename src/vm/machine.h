@@ -68,7 +68,7 @@ class Machine {
   std::uint32_t active_cpu() const { return active_cpu_; }
 
   // Switches the active lane: subsequent clock()/trace/pmem charges land on
-  // lane |i| and attribution cells gain its cpu coordinate. Prefer CpuScope.
+  // lane |i| and in its attribution total. Prefer CpuScope.
   void SetActiveCpu(std::uint32_t i);
 
   // The machine-wide elapsed time: the furthest lane's clock. Equals

@@ -30,7 +30,6 @@ Status VmManager::MapAnonymous(Domain& d, VirtAddr base, std::uint64_t pages, Pr
   SimClock& clock = machine_->clock();
   const CostParams& c = machine_->costs();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), d.id());
   for (std::uint64_t i = 0; i < pages; ++i) {
     const Vpn vpn = PageOf(base) + i;
     assert(d.FindEntry(vpn) == nullptr && "mapping over an existing page");
@@ -61,7 +60,6 @@ Status VmManager::MapFrame(Domain& d, Vpn vpn, FrameId frame, Prot prot, ChargeM
   SimClock& clock = machine_->clock();
   const CostParams& c = machine_->costs();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), d.id());
   TraceSpan span(machine_->trace(), TraceCategory::kVm, "map-frame", d.id(), AddrOf(vpn));
   machine_->pmem().Ref(frame);
   VmEntry* existing = d.FindEntry(vpn);
@@ -90,7 +88,6 @@ Status VmManager::Unmap(Domain& d, VirtAddr base, std::uint64_t pages, ChargeMod
   SimClock& clock = machine_->clock();
   const CostParams& c = machine_->costs();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), d.id());
   for (std::uint64_t i = 0; i < pages; ++i) {
     const Vpn vpn = PageOf(base) + i;
     VmEntry* e = d.FindEntry(vpn);
@@ -118,7 +115,6 @@ Status VmManager::Protect(Domain& d, VirtAddr base, std::uint64_t pages, Prot pr
   SimClock& clock = machine_->clock();
   const CostParams& c = machine_->costs();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), d.id());
   machine_->trace().Emit(TraceCategory::kVm, "protect", d.id(), base);
   for (std::uint64_t i = 0; i < pages; ++i) {
     const Vpn vpn = PageOf(base) + i;
@@ -196,7 +192,6 @@ Status VmManager::Remap(Domain& src, VirtAddr src_base, Domain& dst, VirtAddr ds
   SimClock& clock = machine_->clock();
   const CostParams& c = machine_->costs();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), dst.id());
   for (std::uint64_t i = 0; i < pages; ++i) {
     const Vpn svpn = PageOf(src_base) + i;
     const Vpn dvpn = PageOf(dst_base) + i;
@@ -235,7 +230,6 @@ Status VmManager::HandleFault(Domain& d, Vpn vpn, Access access) {
   const CostParams& c = machine_->costs();
   SimStats& stats = machine_->stats();
   LayerScope layer(machine_->attribution(), CostDomain::kVm);
-  ActorScope actor(machine_->attribution(), d.id());
   TraceSpan span(machine_->trace(), TraceCategory::kVm, "vm-fault", d.id(), AddrOf(vpn));
   VmEntry* e = d.FindEntry(vpn);
 

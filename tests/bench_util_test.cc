@@ -142,24 +142,20 @@ TEST_F(TimeAttributionJsonTest, EmitsLayerPathAndCpuSplits) {
 
 TEST_F(TimeAttributionJsonTest, LatencyAndFlowSectionsAppearOnlyWhenPassed) {
   const std::string plain = TimeAttributionJson(m_).Dump(1);
-  EXPECT_EQ(plain.find("dispatch_wait_by_path"), std::string::npos);
   EXPECT_EQ(plain.find("ring_occupancy_by_path"), std::string::npos);
   EXPECT_EQ(plain.find("by_flow"), std::string::npos);
 
   // Zero entries are skipped; the untagged path prints as "none".
-  const std::map<AttrPathId, SimTime> wait = {{7, 5}, {8, 0}, {kAttrNoPath, 3}};
-  const std::map<AttrPathId, SimTime> occupancy = {{9, 12}};
+  const std::map<AttrPathId, SimTime> occupancy = {{7, 5}, {8, 0}, {kAttrNoPath, 3}};
   const std::vector<std::pair<std::string, std::vector<AttrPathId>>> flows = {
       {"a", {7}}, {"b", {11}}};
   AttributionJsonOptions opts;
-  opts.per_path_dispatch_wait = &wait;
   opts.per_path_ring_occupancy = &occupancy;
   opts.flows = &flows;
   // The extras follow the fixed split, which is unchanged ("\n  }" closes).
   EXPECT_EQ(TimeAttributionJson(m_, opts).Dump(1),
             plain.substr(0, plain.size() - 4) +
-                ",\n    \"dispatch_wait_by_path\": {\"7\": 5, \"none\": 3},\n"
-                "    \"ring_occupancy_by_path\": {\"9\": 12},\n"
+                ",\n    \"ring_occupancy_by_path\": {\"7\": 5, \"none\": 3},\n"
                 "    \"by_flow\": {\"a\": 100, \"b\": 0, \"none\": 40}\n"
                 "  }");
 }

@@ -22,20 +22,32 @@ namespace {
 using testing_util::World;
 using testing_util::ZeroCostConfig;
 
-// Sum of every (layer, actor, path) cell — what conservation compares
-// against the host clock.
-SimTime CellSum(const Attribution& a) {
-  SimTime n = 0;
-  for (const auto& [key, ns] : a.cells()) {
-    n += ns;
+// The three totals a report prints — by layer, by path and by CPU lane —
+// each sum to total(): the same conservation tools/validate_traces.py
+// checks on every exported time_attribution section.
+void ExpectSplitsSumToTotal(const Attribution& a, std::uint32_t cpus = 1) {
+  SimTime by_layer = 0;
+  for (int i = 0; i < static_cast<int>(CostDomain::kCount); ++i) {
+    by_layer += a.ByLayer(static_cast<CostDomain>(i));
   }
-  return n;
+  SimTime by_path = 0;
+  for (const auto& [p, ns] : a.by_path()) {
+    EXPECT_NE(ns, 0u) << "path " << p;
+    by_path += ns;
+  }
+  SimTime by_cpu = 0;
+  for (std::uint32_t c = 0; c < cpus; ++c) {
+    by_cpu += a.ByCpu(c);
+  }
+  EXPECT_EQ(by_layer, a.total());
+  EXPECT_EQ(by_path, a.total());
+  EXPECT_EQ(by_cpu, a.total());
 }
 
 void ExpectConserved(Machine& m) {
   const Attribution& a = m.attribution();
   EXPECT_EQ(a.total(), m.clock().Now());
-  EXPECT_EQ(CellSum(a), a.total());
+  ExpectSplitsSumToTotal(a);
 }
 
 // --- Conservation ------------------------------------------------------------
@@ -92,35 +104,8 @@ TEST(Attribution, ZeroCostWorldAttributesExactlyZero) {
   ASSERT_EQ(w.fsys.Free(fb, *a), Status::kOk);
   EXPECT_EQ(w.machine.clock().Now(), 0u);
   EXPECT_EQ(w.machine.attribution().total(), 0u);
-  EXPECT_EQ(CellSum(w.machine.attribution()), 0u);
-}
-
-TEST(Attribution, SnapshotSinceWindowsTheMeasurement) {
-  World w{MachineConfig{}};  // real DecStation costs
-  Domain* a = w.AddDomain("a");
-  Domain* b = w.AddDomain("b");
-  const PathId p = w.fsys.paths().Register({a->id(), b->id()});
-  Fbuf* warm = nullptr;
-  ASSERT_EQ(w.fsys.Allocate(*a, p, kPageSize, true, &warm), Status::kOk);
-  ASSERT_EQ(w.fsys.Free(warm, *a), Status::kOk);
-
-  const Attribution::Snapshot before = w.machine.attribution().Take();
-  const SimTime t0 = w.machine.clock().Now();
-  Fbuf* fb = nullptr;
-  ASSERT_EQ(w.fsys.Allocate(*a, p, kPageSize, true, &fb), Status::kOk);
-  ASSERT_EQ(w.fsys.Transfer(fb, *a, *b), Status::kOk);
-  ASSERT_EQ(w.fsys.Free(fb, *b), Status::kOk);
-  ASSERT_EQ(w.fsys.Free(fb, *a), Status::kOk);
-  const Attribution::Snapshot delta =
-      w.machine.attribution().Take().Since(before);
-
-  // The windowed view conserves over the window.
-  EXPECT_EQ(delta.total, w.machine.clock().Now() - t0);
-  SimTime sum = 0;
-  for (const auto& [key, ns] : delta.cells) {
-    sum += ns;
-  }
-  EXPECT_EQ(sum, delta.total);
+  ExpectSplitsSumToTotal(w.machine.attribution());
+  EXPECT_TRUE(w.machine.attribution().by_path().empty());
 }
 
 // --- Scoping semantics -------------------------------------------------------
@@ -159,84 +144,93 @@ TEST(Attribution, WaitTimeLandsInWaitLayer) {
   EXPECT_EQ(attr.total(), 20u);
 }
 
-TEST(Attribution, ActorAndPathScopesTagCells) {
+TEST(Attribution, PathScopeTagsCharges) {
   SimClock clock;
   Attribution attr;
   clock.SetChargeHook(&Attribution::ClockHook, &attr);
   {
-    ActorScope actor(attr, 3);
     PathScope path(attr, 7);
     LayerScope layer(attr, CostDomain::kFbuf);
     clock.Advance(11);
   }
-  EXPECT_EQ(attr.ByDomain(3), 11u);
-  EXPECT_EQ(attr.ByPath(7), 11u);
-  // Scopes restored: further charges land elsewhere.
+  EXPECT_EQ(attr.by_path().at(7), 11u);
+  // Scope restored: further charges land elsewhere.
   clock.Advance(2);
-  EXPECT_EQ(attr.ByDomain(3), 11u);
-  EXPECT_EQ(attr.ByPath(7), 11u);
+  EXPECT_EQ(attr.by_path().at(7), 11u);
+  EXPECT_EQ(attr.by_path().at(kAttrNoPath), 2u);
 }
 
-// Scope edges only drop the cached cell pointers; a cell is resolved when a
-// charge lands. Every context change must steer the next work and wait charge
-// to its own (layer, domain, path, cpu) cell, whether or not anything was
-// charged since the previous change, and cells no charge reached must not exist.
+// A path edge only drops the cached per-path total; the total is looked up
+// when a charge lands. Every context change must steer the next work and
+// wait charge to its own layer, path and cpu totals, whether or not
+// anything was charged since the previous change, and paths no charge
+// reached must have no entry.
 TEST(Attribution, CellsFollowContextChangesWithoutCharges) {
   SimClock clock;
   Attribution attr;
   clock.SetChargeHook(&Attribution::ClockHook, &attr);
-  std::map<Attribution::Key, SimTime> want;
-  auto work = [&](CostDomain layer, DomainId d, AttrPathId p, std::uint32_t cpu, SimTime ns) {
+  std::map<CostDomain, SimTime> want_layer;
+  std::map<AttrPathId, SimTime> want_path;
+  std::map<std::uint32_t, SimTime> want_cpu;
+  auto book = [&](CostDomain layer, AttrPathId p, std::uint32_t cpu, SimTime ns) {
+    want_layer[layer] += ns;
+    want_path[p] += ns;
+    want_cpu[cpu] += ns;
+  };
+  auto work = [&](CostDomain layer, AttrPathId p, std::uint32_t cpu, SimTime ns) {
     clock.Advance(ns);
-    want[{layer, d, p, cpu}] += ns;
+    book(layer, p, cpu, ns);
   };
-  auto wait = [&](DomainId d, AttrPathId p, std::uint32_t cpu, SimTime ns) {
+  auto wait = [&](AttrPathId p, std::uint32_t cpu, SimTime ns) {
     clock.AdvanceTo(clock.Now() + ns);
-    want[{CostDomain::kWait, d, p, cpu}] += ns;
+    book(CostDomain::kWait, p, cpu, ns);
   };
-  constexpr DomainId kNone = kInvalidDomainId;
-  // Resolve both cells of the initial context.
-  work(CostDomain::kOther, kNone, kAttrNoPath, 0, 1);
-  wait(kNone, kAttrNoPath, 0, 2);
+  // Resolve the initial path total, then charge it again from the cache.
+  work(CostDomain::kOther, kAttrNoPath, 0, 1);
+  wait(kAttrNoPath, 0, 2);
+  wait(kAttrNoPath, 0, 4);
+  work(CostDomain::kOther, kAttrNoPath, 0, 5);
   {
-    ActorScope actor(attr, 3);
-    wait(3, kAttrNoPath, 0, 4);
-    work(CostDomain::kOther, 3, kAttrNoPath, 0, 5);
     PathScope path(attr, 7);
-    wait(3, 7, 0, 6);
+    wait(7, 0, 6);
     LayerScope layer(attr, CostDomain::kFbuf);
-    work(CostDomain::kFbuf, 3, 7, 0, 8);
-    wait(3, 7, 0, 9);  // a layer change does not move waits
+    work(CostDomain::kFbuf, 7, 0, 8);
+    wait(7, 0, 9);  // a layer change does not move waits
     attr.SetCpu(2);
-    wait(3, 7, 2, 10);
-    work(CostDomain::kFbuf, 3, 7, 2, 11);
+    wait(7, 2, 10);
+    work(CostDomain::kFbuf, 7, 2, 11);
     {
-      // Four changes with no charge between them: only the last context counts.
-      ActorScope actor2(attr, 5);
+      // Three changes with no charge between them: only the last context counts.
       PathScope path2(attr, 8);
       attr.SetCpu(1);
       LayerScope layer2(attr, CostDomain::kVm);
-      work(CostDomain::kVm, 5, 8, 1, 12);
-      wait(5, 8, 1, 13);
+      work(CostDomain::kVm, 8, 1, 12);
+      wait(8, 1, 13);
     }
-    // Actor and path restored by their scopes; the cpu lane is not scoped.
-    wait(3, 7, 1, 14);
-    work(CostDomain::kFbuf, 3, 7, 1, 15);
+    // The path is restored by its scope; the cpu lane is not scoped.
+    wait(7, 1, 14);
+    work(CostDomain::kFbuf, 7, 1, 15);
+    {
+      // A path set and restored with no charge in between reaches no total.
+      PathScope unused(attr, 9);
+    }
+    work(CostDomain::kFbuf, 7, 1, 3);
     attr.SetCpu(0);
   }
-  work(CostDomain::kOther, kNone, kAttrNoPath, 0, 16);
-  wait(kNone, kAttrNoPath, 0, 17);
+  work(CostDomain::kOther, kAttrNoPath, 0, 16);
+  wait(kAttrNoPath, 0, 17);
 
   EXPECT_EQ(attr.total(), clock.Now());
-  EXPECT_EQ(attr.cells().size(), want.size());
-  for (const auto& [key, ns] : want) {
-    SCOPED_TRACE(std::string(CostDomainName(key.layer)) + " domain " +
-                 std::to_string(key.domain) + " path " + std::to_string(key.path) + " cpu " +
-                 std::to_string(key.cpu));
-    auto it = attr.cells().find(key);
-    ASSERT_NE(it, attr.cells().end());
-    EXPECT_EQ(it->second, ns);
+  ExpectSplitsSumToTotal(attr, 3);
+  for (int i = 0; i < static_cast<int>(CostDomain::kCount); ++i) {
+    const CostDomain d = static_cast<CostDomain>(i);
+    EXPECT_EQ(attr.ByLayer(d), want_layer[d]) << CostDomainName(d);
   }
+  EXPECT_EQ(attr.by_path(), want_path);
+  for (const auto& [cpu, ns] : want_cpu) {
+    EXPECT_EQ(attr.ByCpu(cpu), ns) << "cpu " << cpu;
+  }
+  EXPECT_EQ(attr.ByCpu(3), 0u);
 }
 
 // --- Metrics -----------------------------------------------------------------
